@@ -258,7 +258,7 @@ func run(cfg config, logger *obs.Logger) error {
 	schedAPI := obs.Middleware(schedSvc.Handler(), httpMetrics, market.RouteLabel, logger)
 
 	// The KPI service rides the same event stream: it bootstraps from the
-	// recovered store via SubscribeReplay and folds every later lifecycle
+	// recovered store through a market.Follower and folds every later lifecycle
 	// transition, so GET /kpi always reflects the store exactly. Its peak
 	// buckets share the scheduler's grid resolution.
 	kpiSvc, err := kpi.NewService(kpi.ServiceConfig{

@@ -140,6 +140,18 @@ func (inc *Incremental) Remove(id string) bool {
 	return true
 }
 
+// Reset empties the aggregator in place: every member and group is
+// dropped, while the lifetime Joined/Left/Rebuilds counters are kept, so
+// they never step backwards. Members dropped by Reset are not counted as
+// having left.
+func (inc *Incremental) Reset() {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	clear(inc.members)
+	clear(inc.keyOf)
+	clear(inc.groups)
+}
+
 // Contains reports whether the offer is currently aggregated.
 func (inc *Incremental) Contains(id string) bool {
 	inc.mu.Lock()

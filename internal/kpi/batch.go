@@ -193,7 +193,7 @@ func Compute(cfg Config, events []market.StoreEvent, deadLetters map[string]uint
 }
 
 // stateEventKind maps a record's lifecycle state to the replay event kind
-// SubscribeReplay would synthesize for it.
+// a replay bootstrap would synthesize for it.
 func stateEventKind(st market.State) market.EventKind {
 	switch st {
 	case market.Accepted:
@@ -211,7 +211,7 @@ func stateEventKind(st market.State) market.EventKind {
 
 // FromRecords recomputes a Report from offer records — for example, the
 // pages of GET /offers — by folding each record exactly as the synthetic
-// replay event a fresh SubscribeReplay would deliver for it. A live /kpi
+// replay event a fresh market.Follower would deliver for it. A live /kpi
 // endpoint and FromRecords over a complete listing of the same store
 // therefore agree (the soak test's reconciliation); only history that
 // final states erase — an expired offer's pre-expiry acceptance, the

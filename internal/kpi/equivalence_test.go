@@ -199,7 +199,7 @@ func assertEquivalent(t *testing.T, step int, tr *Tracker, cfg Config, history [
 
 // TestFromRecordsMatchesReplayBootstrap checks the REST-facing recompute:
 // folding a store's final records equals attaching a fresh
-// SubscribeReplay-bootstrapped tracker to the same store.
+// replay-bootstrapped tracker to the same store.
 func TestFromRecordsMatchesReplayBootstrap(t *testing.T) {
 	now := time.Date(2012, 6, 4, 0, 0, 0, 0, time.UTC)
 	store := market.NewStore(func() time.Time { return now })

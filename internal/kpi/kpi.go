@@ -1,7 +1,7 @@
 // Package kpi measures the quality of the flexibility the market actually
 // delivered — not how fast offers were collected, but what the collected
 // offers were worth once accepted, scheduled and (sometimes) lost. It
-// consumes the market store's lifecycle event stream (SubscribeReplay for
+// consumes the market store's lifecycle event stream (a market.Follower:
 // a gap-free snapshot+live fold, exactly like the scheduler) and folds it
 // into per-owner and global indicators:
 //

@@ -16,41 +16,38 @@ type ServiceConfig struct {
 	// Config fixes the KPI definitions' parameters; zero fields take the
 	// package defaults.
 	Config Config
-	// EventHighWater bounds the event-stream subscription queue; on
-	// overflow the service discards its tracker and resyncs from a fresh
-	// replay instead of growing memory without limit. 0 leaves the queue
-	// unbounded.
+	// EventHighWater bounds the event-stream queue; on overflow the
+	// service rebuilds its tracker and resyncs from a fresh replay
+	// (market.Follower) instead of growing memory without limit. 0 leaves
+	// the queue unbounded.
 	EventHighWater int
 	// Logger receives service lifecycle logs; may be nil.
 	Logger *obs.Logger
 }
 
 // Service runs the incremental KPI engine against a live market store. It
-// attaches with SubscribeReplay, so the tracker bootstraps from the
-// store's current contents and then folds every later transition with no
-// gap or duplicate in between. Like the scheduler service it owns no
-// background goroutine: pending events are drained synchronously at the
-// start of every read (Report, GlobalValues, metric scrapes, HTTP
-// requests), which keeps the fold work proportional to the traffic that
-// happened — an idle drain is a single mutex round-trip. With a bounded
-// subscription (EventHighWater), a drain that finds the queue lagged
-// rebuilds the tracker from a fresh replay and re-books the retained
-// dead-letter counts, converging on exactly the state a never-lagged fold
-// would hold. All methods are safe for concurrent use.
+// follows the store's event stream from a replay bootstrap, so the tracker
+// starts from the store's current contents and then folds every later
+// transition with no gap or duplicate in between. Like the scheduler
+// service it owns no background goroutine: pending events are drained
+// synchronously at the start of every read (Report, GlobalValues, metric
+// scrapes, HTTP requests), which keeps the fold work proportional to the
+// traffic that happened — an idle drain is a single mutex round-trip.
+// When a bounded queue lags, the follower's resync rebuilds the tracker
+// and re-books the retained dead-letter counts, converging on exactly the
+// state a never-lagged fold would hold. All methods are safe for
+// concurrent use.
 type Service struct {
-	cfg ServiceConfig
-
 	// drainMu serialises drains so concurrently popped events cannot fold
-	// out of per-shard order, and guards the tracker/subscription swap a
-	// lag resync performs.
+	// out of per-shard order, and guards the tracker swap a resync
+	// performs.
 	drainMu     sync.Mutex
-	tracker     *Tracker             // guarded by drainMu (swapped on resync)
-	sub         *market.Subscription // guarded by drainMu (swapped on resync)
-	deadByOwner map[string]uint64    // guarded by drainMu: out-of-band dead letters, replayed on resync
-	resyncs     uint64               // guarded by drainMu: lagged-subscription replay resyncs
+	tracker     *Tracker          // guarded by drainMu (rebuilt on resync)
+	events      *market.Follower  // drained and closed under drainMu
+	deadByOwner map[string]uint64 // guarded by drainMu: out-of-band dead letters, re-booked on resync
 }
 
-// NewService subscribes to the store and returns a running service.
+// NewService follows the store and returns a running service.
 func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("kpi: nil store")
@@ -59,10 +56,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{cfg: cfg, tracker: tracker, deadByOwner: make(map[string]uint64)}
-	s.sub = cfg.Store.SubscribeReplay(market.WithHighWater(cfg.EventHighWater))
+	s := &Service{tracker: tracker, deadByOwner: make(map[string]uint64)}
+	s.events = cfg.Store.Follow(cfg.EventHighWater, s.apply, s.reset, cfg.Logger.With("consumer", "kpi"))
 	cfg.Logger.Info("kpi service attached",
-		"resolution", tracker.Resolution(), "bootstrap_events", s.sub.Pending(),
+		"resolution", tracker.Resolution(), "bootstrap_events", s.events.Pending(),
 		"event_high_water", cfg.EventHighWater)
 	return s, nil
 }
@@ -71,62 +68,37 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 func (s *Service) Close() {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
-	s.sub.Close()
+	s.events.Close()
+}
+
+// apply folds one event into the current tracker; it runs inside
+// s.events.Drain, under drainMu.
+func (s *Service) apply(ev market.StoreEvent) { s.tracker.Apply(ev) }
+
+// reset replaces the tracker with an empty one before a resync replays the
+// store into it, re-booking the retained out-of-band dead-letter counts
+// (integer adds, so re-feeding order is immaterial). It runs inside
+// s.events.Drain, under drainMu.
+func (s *Service) reset() {
+	s.tracker = newTracker(s.tracker.cfg)
+	for owner, n := range s.deadByOwner {
+		s.tracker.ObserveDeadLetters(owner, n)
+	}
 }
 
 // drain folds every pending store event into the tracker, serialised so
 // two concurrent readers cannot interleave the per-shard event order, and
 // returns the tracker the caller should read — which is a fresh one when
-// a lagged subscription forced a resync mid-drain.
+// a lagged queue forced a resync mid-drain.
 func (s *Service) drain() *Tracker {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
-	for {
-		for {
-			ev, ok := s.sub.TryNext()
-			if !ok {
-				break
-			}
-			s.tracker.Apply(ev)
-		}
-		if !s.sub.Lagged() || s.sub.Closed() {
-			return s.tracker
-		}
-		s.resyncLocked()
-	}
+	s.events.Drain()
+	return s.tracker
 }
 
-// resyncLocked rebuilds the tracker from a fresh replay bootstrap after
-// the event subscription lagged, re-booking the retained out-of-band
-// dead-letter counts (integer adds, so re-feeding order is immaterial).
-// Caller holds drainMu; the enclosing drain loop folds the new bootstrap.
-func (s *Service) resyncLocked() {
-	dropped := s.sub.Dropped()
-	s.sub.Close()
-	tracker, err := NewTracker(s.cfg.Config)
-	if err != nil {
-		// Unreachable: NewService validated the same config. Keep the
-		// stale tracker rather than crash a running daemon.
-		s.cfg.Logger.Error("kpi resync tracker rebuild failed", "err", err)
-		return
-	}
-	s.tracker = tracker
-	for owner, n := range s.deadByOwner {
-		s.tracker.ObserveDeadLetters(owner, n)
-	}
-	s.sub = s.cfg.Store.SubscribeReplay(market.WithHighWater(s.cfg.EventHighWater))
-	s.resyncs++
-	s.cfg.Logger.Warn("kpi event stream lagged; resynced via replay",
-		"resyncs", s.resyncs, "dropped_deliveries", dropped,
-		"bootstrap_events", s.sub.Pending(), "high_water", s.cfg.EventHighWater)
-}
-
-// Resyncs reports how often a lagged subscription forced a replay resync.
-func (s *Service) Resyncs() uint64 {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	return s.resyncs
-}
+// Resyncs reports how often a lagged queue forced a replay resync.
+func (s *Service) Resyncs() uint64 { return s.events.Resyncs() }
 
 // Report drains pending events and snapshots the full KPI report.
 func (s *Service) Report() Report {

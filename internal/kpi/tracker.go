@@ -86,7 +86,7 @@ func (sc *scope) values() Values {
 // Tracker is the incremental KPI engine: Apply folds one store event in
 // O(1) (amortised over the event's profile slices), and Report snapshots
 // the derived indicators at any point. A Tracker fed a store's
-// SubscribeReplay stream converges on the same Report that Compute
+// replay-bootstrapped event stream converges on the same Report that Compute
 // derives from the full event history — the equivalence the property
 // test pins. All methods are safe for concurrent use.
 type Tracker struct {
@@ -105,11 +105,13 @@ func NewTracker(cfg Config) (*Tracker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tracker{
-		cfg:    cfg.withDefaults(),
-		owners: make(map[string]*scope),
-		state:  make(map[string]phase),
-	}, nil
+	return newTracker(cfg.withDefaults()), nil
+}
+
+// newTracker builds an empty tracker from an already validated, defaulted
+// configuration.
+func newTracker(cfg Config) *Tracker {
+	return &Tracker{cfg: cfg, owners: make(map[string]*scope), state: make(map[string]phase)}
 }
 
 // ownerScopeLocked returns (creating if needed) the owner's accumulation

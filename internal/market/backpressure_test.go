@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,10 +11,10 @@ import (
 
 // TestSubscriptionHighWaterLatchesLag: live events past the high-water
 // mark are refused, the lag latch fires exactly once, the queued prefix
-// stays readable, and Next reports ok=false once the prefix is drained.
+// stays readable, and TryNext reports ok=false once the prefix is drained.
 func TestSubscriptionHighWaterLatchesLag(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.Subscribe(WithHighWater(4))
+	sub := s.subscribeReplay(4)
 	defer sub.Close()
 
 	for i := 0; i < 10; i++ {
@@ -36,18 +37,15 @@ func TestSubscriptionHighWaterLatchesLag(t *testing.T) {
 
 	// The contiguous prefix stays readable...
 	for i := 0; i < 4; i++ {
-		ev, ok := sub.Next()
+		ev, ok := sub.TryNext()
 		if !ok {
-			t.Fatalf("Next() = !ok at queued event %d", i)
+			t.Fatalf("TryNext() = !ok at queued event %d", i)
 		}
 		if ev.Offer.ID != fmt.Sprintf("hw-%d", i) {
 			t.Fatalf("event %d = %s, want hw-%d (prefix order)", i, ev.Offer.ID, i)
 		}
 	}
-	// ...and a drained lagged subscription unblocks instead of hanging.
-	if _, ok := sub.Next(); ok {
-		t.Fatal("Next() = ok on a drained lagged subscription")
-	}
+	// ...and nothing follows it.
 	if _, ok := sub.TryNext(); ok {
 		t.Fatal("TryNext() = ok on a drained lagged subscription")
 	}
@@ -58,7 +56,7 @@ func TestSubscriptionHighWaterLatchesLag(t *testing.T) {
 // the consumer drains below the mark.
 func TestSubscriptionHighWaterPublisherDetach(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.Subscribe(WithHighWater(2))
+	sub := s.subscribeReplay(2)
 	defer sub.Close()
 
 	for i := 0; i < 3; i++ {
@@ -83,10 +81,10 @@ func TestSubscriptionHighWaterPublisherDetach(t *testing.T) {
 }
 
 // TestSubscriptionCloseWhileLagged: Close on a lagged subscription is
-// safe, wakes blocked readers, and keeps reporting closed.
+// safe and keeps reporting closed.
 func TestSubscriptionCloseWhileLagged(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.Subscribe(WithHighWater(1))
+	sub := s.subscribeReplay(1)
 	for i := 0; i < 3; i++ {
 		if err := s.Submit(testOffer(fmt.Sprintf("c-%d", i))); err != nil {
 			t.Fatal(err)
@@ -99,12 +97,12 @@ func TestSubscriptionCloseWhileLagged(t *testing.T) {
 	if !sub.Closed() || !sub.Lagged() {
 		t.Fatalf("Closed=%v Lagged=%v after Close, want true/true", sub.Closed(), sub.Lagged())
 	}
-	// Queued events remain readable after Close, then Next unblocks.
-	if _, ok := sub.Next(); !ok {
+	// Queued events remain readable after Close, then the queue is empty.
+	if _, ok := sub.TryNext(); !ok {
 		t.Fatal("queued event unreadable after Close")
 	}
-	if _, ok := sub.Next(); ok {
-		t.Fatal("Next() = ok on drained closed subscription")
+	if _, ok := sub.TryNext(); ok {
+		t.Fatal("TryNext() = ok on drained closed subscription")
 	}
 }
 
@@ -118,7 +116,7 @@ func TestSubscribeReplayBootstrapExemptFromHighWater(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sub := s.SubscribeReplay(WithHighWater(4))
+	sub := s.subscribeReplay(4)
 	defer sub.Close()
 	if got := sub.Pending(); got != 10 {
 		t.Fatalf("bootstrap delivered %d events, want all 10", got)
@@ -138,11 +136,11 @@ func TestSubscribeReplayBootstrapExemptFromHighWater(t *testing.T) {
 	}
 }
 
-// TestSubscriptionUnboundedUnchanged: without WithHighWater the original
+// TestSubscriptionUnboundedUnchanged: without a high-water mark the original
 // contract holds — no latch, no drops, everything delivered.
 func TestSubscriptionUnboundedUnchanged(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.Subscribe()
+	sub := s.subscribeReplay(0)
 	defer sub.Close()
 	for i := 0; i < 100; i++ {
 		if err := s.Submit(testOffer(fmt.Sprintf("u-%d", i))); err != nil {
@@ -169,9 +167,9 @@ func TestSubscriptionHighWaterStress(t *testing.T) {
 		perWriter = 200
 	)
 	s := NewShardedStore(4, (&fakeClock{now: t0}).Now)
-	fast := s.Subscribe()
+	fast := s.subscribeReplay(0)
 	defer fast.Close()
-	slow := s.Subscribe(WithHighWater(highWater))
+	slow := s.subscribeReplay(highWater)
 	defer slow.Close()
 
 	var stop atomic.Bool
@@ -199,13 +197,12 @@ func TestSubscriptionHighWaterStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			ev, ok := fast.Next()
-			if !ok {
-				return
+		for !stop.Load() {
+			if _, ok := fast.TryNext(); ok {
+				fastSeen.Add(1)
+			} else {
+				runtime.Gosched()
 			}
-			_ = ev
-			fastSeen.Add(1)
 		}
 	}()
 

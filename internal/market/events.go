@@ -2,9 +2,11 @@ package market
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/flexoffer"
+	"repro/internal/obs"
 )
 
 // EventKind names one lifecycle transition published on the store's event
@@ -26,7 +28,7 @@ const (
 )
 
 // stateEventKind maps a lifecycle state onto the event kind a record in
-// that state implies — the translation SubscribeReplay uses to render the
+// that state implies — the translation subscribeReplay uses to render the
 // store's current contents as a bootstrap event sequence.
 func stateEventKind(st State) EventKind {
 	switch st {
@@ -43,8 +45,8 @@ func stateEventKind(st State) EventKind {
 	}
 }
 
-// StoreEvent is one store lifecycle transition as delivered to event-stream
-// subscribers. Events from one shard arrive in exactly that shard's
+// StoreEvent is one store lifecycle transition as delivered to a
+// Follower. Events from one shard arrive in exactly that shard's
 // mutation order with monotonically increasing Seq; events from different
 // shards interleave arbitrarily (the shards are independent, so there is no
 // cross-shard order to preserve). The Offer pointer is shared with the
@@ -56,10 +58,10 @@ type StoreEvent struct {
 	// Shard is the index of the shard the offer lives in.
 	Shard int
 	// Seq numbers live events within their shard: monotonically
-	// increasing, and contiguous from the subscriber's first delivered
+	// increasing, and contiguous from the follower's first delivered
 	// live event of that shard. Replay events carry Seq 0.
 	Seq uint64
-	// Replay marks a synthetic bootstrap event from SubscribeReplay: it
+	// Replay marks a synthetic bootstrap event (Follow, or a resync): it
 	// describes a record's state at subscription time, not a transition
 	// that happened while subscribed.
 	Replay bool
@@ -74,16 +76,16 @@ type StoreEvent struct {
 	Energies []float64
 }
 
-// Subscription is one consumer's ordered view of the store's event stream.
-// Enqueueing never blocks, so a slow consumer delays only itself — never a
-// store mutation, which publishes while holding a shard's write lock. By
-// default the queue is unbounded; WithHighWater bounds it, and on overflow
-// the subscription latches a lagged state (see Lagged) instead of growing
-// forever: publishers detach it, already-queued events stay readable, and
-// the consumer is expected to resync with a fresh SubscribeReplay.
-type Subscription struct {
+// subscription is one consumer's ordered queue of store events, the
+// mechanism under Follower. Enqueueing never blocks, so a slow consumer
+// delays only itself — never a store mutation, which publishes while
+// holding a shard's write lock. A positive highWater bounds the queue: a
+// live event that would grow it past the mark is refused, the
+// subscription latches lagged, publishers detach it, and the queued
+// prefix stays readable. The replay bootstrap is exempt from the bound —
+// it is the resync mechanism itself, and useless when truncated.
+type subscription struct {
 	mu        sync.Mutex
-	cond      *sync.Cond   // signalled on enqueue, lag latch and Close
 	queue     []StoreEvent // guarded by mu
 	closed    bool         // guarded by mu
 	lagged    bool         // guarded by mu: latched when the high-water mark overflowed
@@ -91,49 +93,9 @@ type Subscription struct {
 	highWater int          // immutable after subscribe; 0 = unbounded
 }
 
-// SubOption configures a subscription at attach time.
-type SubOption func(*Subscription)
-
-// WithHighWater bounds the subscription's pending queue to n events. A
-// live event that would grow the queue past n is not delivered: the
-// subscription latches lagged instead, publishers drop it, and the
-// consumer must resync (typically via a fresh SubscribeReplay). n <= 0
-// leaves the queue unbounded. The SubscribeReplay bootstrap is exempt —
-// it is inherently O(resident records) and useless when truncated.
-func WithHighWater(n int) SubOption {
-	return func(sub *Subscription) { sub.highWater = n }
-}
-
-// newSubscription builds an empty open subscription.
-func newSubscription(opts ...SubOption) *Subscription {
-	sub := &Subscription{}
-	sub.cond = sync.NewCond(&sub.mu)
-	for _, opt := range opts {
-		opt(sub)
-	}
-	return sub
-}
-
-// Next blocks until an event is available and returns it. ok is false once
-// the subscription has been closed — or has latched lagged — and every
-// queued event was consumed.
-func (sub *Subscription) Next() (ev StoreEvent, ok bool) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	for len(sub.queue) == 0 && !sub.closed && !sub.lagged {
-		sub.cond.Wait()
-	}
-	if len(sub.queue) == 0 {
-		return StoreEvent{}, false
-	}
-	ev = sub.queue[0]
-	sub.queue = sub.queue[1:]
-	return ev, true
-}
-
 // TryNext returns the next pending event without blocking; ok is false
 // when the queue is currently empty (closed or not).
-func (sub *Subscription) TryNext() (ev StoreEvent, ok bool) {
+func (sub *subscription) TryNext() (ev StoreEvent, ok bool) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if len(sub.queue) == 0 {
@@ -145,25 +107,23 @@ func (sub *Subscription) TryNext() (ev StoreEvent, ok bool) {
 }
 
 // Pending reports the number of queued, not-yet-consumed events.
-func (sub *Subscription) Pending() int {
+func (sub *subscription) Pending() int {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	return len(sub.queue)
 }
 
 // Closed reports whether Close has been called.
-func (sub *Subscription) Closed() bool {
+func (sub *subscription) Closed() bool {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	return sub.closed
 }
 
 // Lagged reports whether the subscription overflowed its high-water mark
-// and was detached from the live stream. A lagged subscription's queue
-// holds the events accepted before the latch — a contiguous but truncated
-// prefix — so a consumer that needs the full state must discard its fold
-// and resync with a fresh SubscribeReplay.
-func (sub *Subscription) Lagged() bool {
+// and was detached from the live stream; its queue then holds a
+// contiguous but truncated prefix.
+func (sub *subscription) Lagged() bool {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	return sub.lagged
@@ -173,31 +133,25 @@ func (sub *Subscription) Lagged() bool {
 // latch. It undercounts the events the consumer missed — each shard stops
 // attempting delivery after its first refusal — so treat any non-zero
 // value as "resync required", not as a gap size.
-func (sub *Subscription) Dropped() uint64 {
+func (sub *subscription) Dropped() uint64 {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	return sub.dropped
 }
 
-// HighWater reports the configured queue bound (0 = unbounded).
-func (sub *Subscription) HighWater() int { return sub.highWater }
-
 // Close detaches the subscription: publishers drop it on their next
-// delivery attempt, a blocked Next wakes up, and already-queued events
-// remain readable until drained.
-func (sub *Subscription) Close() {
+// delivery attempt, and already-queued events remain readable.
+func (sub *subscription) Close() {
 	sub.mu.Lock()
+	defer sub.mu.Unlock()
 	sub.closed = true
-	sub.mu.Unlock()
-	sub.cond.Broadcast()
 }
 
-// enqueue appends ev and reports whether the subscription is still live;
-// publishers discard the subscription on false. A live event that would
-// grow a bounded queue past its high-water mark is refused: the
-// subscription latches lagged (waking any blocked Next so the consumer
-// notices promptly) and every publisher drops it on their next attempt.
-func (sub *Subscription) enqueue(ev StoreEvent) bool {
+// enqueue appends a live event and reports whether the subscription is
+// still attached; publishers discard it on false. An event that would
+// grow a bounded queue past its high-water mark is refused and latches
+// lagged.
+func (sub *subscription) enqueue(ev StoreEvent) bool {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if sub.closed || sub.lagged {
@@ -209,75 +163,109 @@ func (sub *Subscription) enqueue(ev StoreEvent) bool {
 	if sub.highWater > 0 && len(sub.queue) >= sub.highWater {
 		sub.lagged = true
 		sub.dropped++
-		sub.cond.Broadcast()
 		return false
 	}
 	sub.queue = append(sub.queue, ev)
-	sub.cond.Signal()
 	return true
 }
 
-// enqueueBootstrap appends a SubscribeReplay bootstrap event, exempt from
-// the high-water mark: the bootstrap is the resync mechanism itself, so
-// truncating it would make recovery from lag impossible.
-func (sub *Subscription) enqueueBootstrap(ev StoreEvent) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if sub.closed {
-		return
-	}
-	sub.queue = append(sub.queue, ev)
-	sub.cond.Signal()
-}
-
-// Subscribe attaches a live event-stream consumer: every lifecycle
-// transition applied after Subscribe returns is delivered, in per-shard
-// mutation order (see StoreEvent). The consumer must eventually call
-// Close — or bound the queue with WithHighWater — or it grows without
-// bound.
-func (s *Store) Subscribe(opts ...SubOption) *Subscription { return s.subscribe(false, opts...) }
-
-// SubscribeReplay attaches a consumer bootstrapped with the store's
+// subscribeReplay attaches a subscription bootstrapped with the store's
 // current contents: for every resident record, one synthetic event
 // (Replay=true) describing its current lifecycle state is queued before
 // any live event of that record's shard, with no transition lost or
 // duplicated in between — the registration and the per-shard snapshot
-// happen under the same shard lock. A consumer that folds replay events
-// like live ones therefore converges on the store's exact state. The
-// bootstrap itself is exempt from any WithHighWater bound (it is the
-// resync mechanism); only live events past it count against the mark.
-func (s *Store) SubscribeReplay(opts ...SubOption) *Subscription { return s.subscribe(true, opts...) }
-
-// subscribe registers a new subscription on every shard, optionally
-// synthesizing the bootstrap replay under each shard's lock.
-func (s *Store) subscribe(replay bool, opts ...SubOption) *Subscription {
-	sub := newSubscription(opts...)
+// happen under the same shard lock. Folding replay events like live ones
+// therefore converges on the store's exact state.
+func (s *Store) subscribeReplay(highWater int) *subscription {
+	sub := &subscription{highWater: highWater}
 	for k, sh := range s.shards {
 		sh.mu.Lock()
-		if replay {
-			for _, id := range sh.order {
-				r := sh.records[id]
-				ev := StoreEvent{Kind: stateEventKind(r.State), Shard: k, Replay: true, At: r.SubmittedAt, Offer: r.Offer}
-				if r.State != Offered {
-					ev.At = r.DecidedAt
-				}
-				if r.Assignment != nil {
-					ev.Start, ev.Energies = r.Assignment.Start, r.Assignment.Energies
-				}
-				sub.enqueueBootstrap(ev)
+		sub.mu.Lock()
+		for _, id := range sh.order {
+			r := sh.records[id]
+			ev := StoreEvent{Kind: stateEventKind(r.State), Shard: k, Replay: true, At: r.SubmittedAt, Offer: r.Offer}
+			if r.State != Offered {
+				ev.At = r.DecidedAt
 			}
+			if r.Assignment != nil {
+				ev.Start, ev.Energies = r.Assignment.Start, r.Assignment.Energies
+			}
+			sub.queue = append(sub.queue, ev)
 		}
+		sub.mu.Unlock()
 		sh.subs = append(sh.subs, sub)
 		sh.mu.Unlock()
 	}
 	return sub
 }
 
+// Follower is one consumer's synchronous fold of the store's event
+// stream, and the only exported way to consume it. Follow bootstraps it
+// with a replay of the store's contents; each Drain hands every pending
+// event to apply, in per-shard mutation order. With a positive high-water
+// mark the queue is bounded, and an overflow latches it lagged; the next
+// Drain applies the queued prefix, calls reset so the consumer discards
+// its fold, and folds a fresh replay bootstrap before returning. After
+// every Drain the consumer's fold therefore equals one that never lagged.
+// This lag → reset → replay protocol lives here and nowhere else.
+//
+// A Follower holds no lock of its own: the caller serialises Drain,
+// Pending and Close under a lock it already holds, and apply and reset run
+// inside Drain under that lock. Resyncs is safe to call at any time.
+type Follower struct {
+	store     *Store
+	highWater int
+	apply     func(StoreEvent)
+	reset     func()
+	log       *obs.Logger
+	sub       *subscription // replaced by Drain on resync; serialised by the caller
+	resyncs   atomic.Uint64
+}
+
+// Follow attaches a Follower bootstrapped with the store's current
+// contents (see StoreEvent.Replay); nothing is applied until the first
+// Drain. highWater bounds the pending queue (0 = unbounded). apply folds
+// one event; reset discards the whole fold before a resync replays the
+// store into it. log (may be nil) receives one warning per resync.
+func (s *Store) Follow(highWater int, apply func(StoreEvent), reset func(), log *obs.Logger) *Follower {
+	return &Follower{store: s, highWater: highWater, apply: apply, reset: reset, log: log, sub: s.subscribeReplay(highWater)}
+}
+
+// Drain applies every pending event, resyncing through reset and a fresh
+// replay whenever the queue lagged, and returns once the queue is empty.
+func (f *Follower) Drain() {
+	for {
+		for ev, ok := f.sub.TryNext(); ok; ev, ok = f.sub.TryNext() {
+			f.apply(ev)
+		}
+		if !f.sub.Lagged() || f.sub.Closed() {
+			return
+		}
+		dropped := f.sub.Dropped()
+		f.sub.Close()
+		f.reset()
+		f.sub = f.store.subscribeReplay(f.highWater)
+		f.log.Warn("event stream lagged; resynced via replay",
+			"resyncs", f.resyncs.Add(1), "dropped_deliveries", dropped,
+			"bootstrap_events", f.sub.Pending(), "high_water", f.highWater)
+	}
+}
+
+// Pending reports the number of queued, not-yet-applied events.
+func (f *Follower) Pending() int { return f.sub.Pending() }
+
+// Resyncs reports how often a lagged queue forced a reset and replay.
+func (f *Follower) Resyncs() uint64 { return f.resyncs.Load() }
+
+// Close detaches the follower from the stream; later Drains apply only
+// what was already queued.
+func (f *Follower) Close() { f.sub.Close() }
+
 // publishLocked delivers one live event to every attached subscriber,
 // numbering it with the shard's event sequence. It is called with sh.mu
 // held at the mutation site (insertLocked, transitionLocked), so each
 // shard's delivery order is exactly its mutation order and a concurrent
-// SubscribeReplay can never observe a record without also receiving every
+// subscribeReplay can never observe a record without also receiving every
 // later transition. Closed subscriptions are dropped in place.
 func (sh *shard) publishLocked(kind EventKind, r *Record, at time.Time) {
 	if len(sh.subs) == 0 {

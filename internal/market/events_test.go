@@ -8,7 +8,7 @@ import (
 )
 
 // drainPending consumes every currently queued event without blocking.
-func drainPending(sub *Subscription) []StoreEvent {
+func drainPending(sub *subscription) []StoreEvent {
 	var out []StoreEvent
 	for {
 		ev, ok := sub.TryNext()
@@ -21,7 +21,7 @@ func drainPending(sub *Subscription) []StoreEvent {
 
 func TestEventStreamLifecycle(t *testing.T) {
 	s, clock := newTestStore()
-	sub := s.Subscribe()
+	sub := s.subscribeReplay(0)
 	defer sub.Close()
 
 	a := testOffer("a")
@@ -108,7 +108,7 @@ func TestSubscribeReplayBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sub := s.SubscribeReplay()
+	sub := s.subscribeReplay(0)
 	defer sub.Close()
 	replay := drainPending(sub)
 	if len(replay) != len(ids) {
@@ -160,7 +160,7 @@ func TestSubscribeReplayBootstrap(t *testing.T) {
 
 func TestSubscriptionClose(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.Subscribe()
+	sub := s.subscribeReplay(0)
 
 	if err := s.Submit(testOffer("x")); err != nil {
 		t.Fatal(err)
@@ -175,11 +175,11 @@ func TestSubscriptionClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Queued events stay readable after Close.
-	if ev, ok := sub.Next(); !ok || ev.Offer.ID != "x" {
-		t.Fatalf("Next after close = %+v, %v", ev, ok)
+	if ev, ok := sub.TryNext(); !ok || ev.Offer.ID != "x" {
+		t.Fatalf("TryNext after close = %+v, %v", ev, ok)
 	}
-	if _, ok := sub.Next(); ok {
-		t.Fatal("Next returned an event after drain on a closed subscription")
+	if _, ok := sub.TryNext(); ok {
+		t.Fatal("TryNext returned an event after drain on a closed subscription")
 	}
 	s.shards[0].mu.Lock()
 	n := len(s.shards[0].subs)
@@ -189,33 +189,13 @@ func TestSubscriptionClose(t *testing.T) {
 	}
 }
 
-func TestEventStreamCloseWakesNext(t *testing.T) {
-	s, _ := newTestStore()
-	sub := s.Subscribe()
-	done := make(chan bool)
-	go func() {
-		_, ok := sub.Next()
-		done <- ok
-	}()
-	time.Sleep(10 * time.Millisecond)
-	sub.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("Next returned an event from an empty closed subscription")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Next did not wake up on Close")
-	}
-}
-
 // TestEventStreamConcurrent checks the per-shard ordering contract under
 // concurrent mutators: within each shard, delivered Seq values are
 // contiguous, and each offer's submitted event precedes its accepted one.
 func TestEventStreamConcurrent(t *testing.T) {
 	clock := &fakeClock{now: t0}
 	s := NewShardedStore(8, clock.Now)
-	sub := s.Subscribe()
+	sub := s.subscribeReplay(0)
 	defer sub.Close()
 
 	const workers, perWorker = 8, 50
@@ -243,7 +223,7 @@ func TestEventStreamConcurrent(t *testing.T) {
 	lastSeq := make(map[int]uint64)
 	state := make(map[string]EventKind)
 	for i := 0; i < wantEvents; i++ {
-		ev, ok := sub.Next()
+		ev, ok := sub.TryNext()
 		if !ok {
 			t.Fatalf("stream ended after %d of %d events", i, wantEvents)
 		}
@@ -275,7 +255,7 @@ func TestEventStreamConcurrent(t *testing.T) {
 	}
 }
 
-// TestSubscribeReplayAtomic races SubscribeReplay against concurrent
+// TestSubscribeReplayAtomic races subscribeReplay against concurrent
 // submissions and acceptances: folding replay plus live events must
 // converge on the store's final state — nothing lost, nothing duplicated.
 func TestSubscribeReplayAtomic(t *testing.T) {
@@ -305,7 +285,7 @@ func TestSubscribeReplayAtomic(t *testing.T) {
 	}
 
 	time.Sleep(time.Millisecond) // let some mutations land first
-	sub := s.SubscribeReplay()
+	sub := s.subscribeReplay(0)
 	defer sub.Close()
 	wg.Wait()
 

@@ -145,7 +145,7 @@ type shard struct {
 	// subs are the event-stream subscriptions attached to this shard;
 	// publishLocked (events.go) delivers every mutation to them and drops
 	// the closed ones.
-	subs []*Subscription // guarded by mu
+	subs []*subscription // guarded by mu
 	// eventSeq numbers this shard's published live events.
 	eventSeq uint64 // guarded by mu
 

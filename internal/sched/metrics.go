@@ -12,12 +12,13 @@ type ServiceMetrics struct {
 
 // RegisterServiceMetrics registers the agg_* and sched_* metric families
 // on reg, sourced from the service's counters; scrapes never drain the
-// event stream, so they stay cheap under load.
+// event stream, so they stay cheap under load. The agg_*_total counters
+// are lifetime counts that a lag resync never resets.
 func RegisterServiceMetrics(reg *obs.Registry, s *Service) *ServiceMetrics {
-	reg.NewCounterFunc("agg_offers_joined_total", "Offers that joined an aggregate (accepted-offer events folded in).", func() uint64 {
+	reg.NewCounterFunc("agg_offers_joined_total", "Offers that joined an aggregate (accepted-offer events folded in; a lag resync re-joins the replayed members).", func() uint64 {
 		return s.inc.Stats().Joined
 	})
-	reg.NewCounterFunc("agg_offers_left_total", "Offers that left an aggregate (rejected, expired or assigned).", func() uint64 {
+	reg.NewCounterFunc("agg_offers_left_total", "Offers that left an aggregate (rejected, expired or assigned; a lag resync's reset is not counted).", func() uint64 {
 		return s.inc.Stats().Left
 	})
 	reg.NewCounterFunc("agg_rebuilds_total", "Aggregate bucket re-aggregations — the incremental work actually done.", func() uint64 {
@@ -49,8 +50,8 @@ func RegisterServiceMetrics(reg *obs.Registry, s *Service) *ServiceMetrics {
 		_, _, _, _, dropped, _ := s.counters()
 		return dropped
 	})
-	reg.NewCounterFunc("sched_resyncs_total", "Lagged-subscription replay resyncs: bounded event-queue overflows recovered by rebuilding the aggregator.", func() uint64 {
-		return s.resyncCount()
+	reg.NewCounterFunc("sched_resyncs_total", "Lagged-subscription replay resyncs: bounded event-queue overflows recovered by resetting the aggregator and replaying the store.", func() uint64 {
+		return s.events.Resyncs()
 	})
 	reg.NewGaugeFunc("sched_assigned_kwh_total", "Total energy scheduled across all rounds, in kWh.", func() float64 {
 		_, _, _, _, _, kwh := s.counters()

@@ -55,17 +55,17 @@ type Config struct {
 	FS wal.FS
 	// HistoryLimit bounds the retained recent-run window (default 64).
 	HistoryLimit int
-	// EventHighWater bounds the event-stream subscription queue; on
-	// overflow the service discards its aggregator and resyncs from a
-	// fresh replay instead of growing memory without limit. 0 leaves the
-	// queue unbounded.
+	// EventHighWater bounds the event-stream queue; on overflow the
+	// service empties its aggregator and resyncs from a fresh replay
+	// (market.Follower) instead of growing memory without limit. 0 leaves
+	// the queue unbounded.
 	EventHighWater int
 	// Logger receives service lifecycle logs; may be nil.
 	Logger *obs.Logger
 }
 
 // Service runs online aggregation and scheduling against a market store:
-// it subscribes to the store's event stream so accepted offers join (and
+// it follows the store's event stream so accepted offers join (and
 // departing offers leave) an incremental aggregator, and each scheduling
 // round assigns the current aggregates against a supply forecast,
 // journaling every decision write-ahead before disaggregated member
@@ -78,12 +78,13 @@ type Config struct {
 type Service struct {
 	cfg    Config
 	sched  Scheduler
-	inc    *agg.Incremental
-	sub    *market.Subscription
-	ledger *wal.Log // nil when running without durability
+	inc    *agg.Incremental // immutable pointer; a resync resets it in place
+	ledger *wal.Log         // nil when running without durability
 
-	// runMu serialises scheduling rounds (and ledger appends with them).
-	runMu sync.Mutex
+	// runMu serialises scheduling rounds (and ledger appends with them),
+	// event drains and Close.
+	runMu  sync.Mutex
+	events *market.Follower // drained and closed under runMu
 
 	mu          sync.Mutex
 	runs        uint64         // guarded by mu: rounds completed, lifetime across restarts
@@ -92,7 +93,6 @@ type Service struct {
 	applyErrs   uint64         // guarded by mu: member assignments the store rejected
 	ledgerErrs  uint64         // guarded by mu: ledger append failures
 	dropped     uint64         // guarded by mu: events that failed to fold into the aggregator
-	resyncs     uint64         // guarded by mu: lagged-subscription replay resyncs
 	lastRun     *RunSummary    // guarded by mu
 	history     []RunSummary   // guarded by mu: recent runs, newest last
 	recovered   RecoveryInfo   // guarded by mu: what ledger replay restored
@@ -112,7 +112,7 @@ type RecoveryInfo struct {
 }
 
 // New builds a Service: it opens and replays the decision ledger (when
-// configured), then attaches to the store's event stream with a replay
+// configured), then follows the store's event stream from a replay
 // bootstrap, so the aggregator converges on the store's current accepted
 // population without rescanning it.
 func New(cfg Config) (*Service, error) {
@@ -183,84 +183,46 @@ func New(cfg Config) (*Service, error) {
 		cfg.Logger.Info("scheduler ledger recovered",
 			"records", info.Records, "runs", st.runs, "decisions", st.decisions, "torn_tail", info.TornTail)
 	}
-	s.sub = cfg.Store.SubscribeReplay(market.WithHighWater(cfg.EventHighWater))
+	s.events = cfg.Store.Follow(cfg.EventHighWater, s.apply, inc.Reset, cfg.Logger.With("consumer", "sched"))
 	return s, nil
 }
 
-// Close detaches from the event stream and closes the ledger.
+// Close detaches from the event stream and closes the ledger. It waits for
+// a running round, so the ledger never closes under a round's append.
 func (s *Service) Close() error {
-	s.sub.Close()
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	s.events.Close()
 	if s.ledger != nil {
 		return s.ledger.Close()
 	}
 	return nil
 }
 
-// drain folds every pending store event into the aggregator: accepted
-// offers join, offers leaving the accepted state (rejected, expired,
-// assigned) leave. Submitted events are ignored — only accepted offers
-// are scheduled — and replay events fold exactly like live ones. When the
-// bounded subscription lagged (EventHighWater overflow), the partial fold
-// is discarded and rebuilt from a fresh replay: the replay bootstrap
-// bypasses the bound, so after folding it the aggregator again equals the
-// never-lagged fold of the store. Callers hold runMu, which serialises
-// drains with the subscription swap.
-func (s *Service) drain() {
-	for {
-		for {
-			ev, ok := s.sub.TryNext()
-			if !ok {
-				break
-			}
-			switch ev.Kind {
-			case market.EventAccepted:
-				if err := s.inc.Add(ev.Offer); err != nil {
-					s.mu.Lock()
-					s.dropped++
-					s.mu.Unlock()
-					s.cfg.Logger.Warn("aggregator rejected offer", "id", ev.Offer.ID, "err", err)
-				}
-			case market.EventRejected, market.EventExpired, market.EventAssigned:
-				s.inc.Remove(ev.Offer.ID)
-			}
+// apply folds one store event into the aggregator: accepted offers join,
+// offers leaving the accepted state (rejected, expired, assigned) leave.
+// Submitted events are ignored — only accepted offers are scheduled — and
+// replay events fold exactly like live ones. It runs inside
+// s.events.Drain, under runMu.
+func (s *Service) apply(ev market.StoreEvent) {
+	switch ev.Kind {
+	case market.EventAccepted:
+		if err := s.inc.Add(ev.Offer); err != nil {
+			s.mu.Lock()
+			s.dropped++
+			s.mu.Unlock()
+			s.cfg.Logger.Warn("aggregator rejected offer", "id", ev.Offer.ID, "err", err)
 		}
-		if !s.sub.Lagged() || s.sub.Closed() {
-			return
-		}
-		s.resync()
+	case market.EventRejected, market.EventExpired, market.EventAssigned:
+		s.inc.Remove(ev.Offer.ID)
 	}
-}
-
-// resync discards the aggregator state and reattaches with a fresh replay
-// bootstrap after the event subscription lagged. The caller (drain) holds
-// runMu and loops again afterwards, folding the bootstrap — and any live
-// events behind it — before returning.
-func (s *Service) resync() {
-	dropped := s.sub.Dropped()
-	s.sub.Close()
-	inc, err := agg.NewIncremental(s.cfg.Agg, s.cfg.Resolution)
-	if err != nil {
-		// Unreachable: New validated the same parameters. Keep the stale
-		// aggregator rather than crash a running daemon.
-		s.cfg.Logger.Error("resync aggregator rebuild failed", "err", err)
-		return
-	}
-	s.inc = inc
-	s.sub = s.cfg.Store.SubscribeReplay(market.WithHighWater(s.cfg.EventHighWater))
-	s.mu.Lock()
-	s.resyncs++
-	n := s.resyncs
-	s.mu.Unlock()
-	s.cfg.Logger.Warn("event stream lagged; resynced via replay",
-		"resyncs", n, "dropped_deliveries", dropped, "bootstrap_events", s.sub.Pending(),
-		"high_water", s.cfg.EventHighWater)
 }
 
 // Aggregates drains pending events and returns the current aggregation.
 func (s *Service) Aggregates() ([]*agg.Aggregate, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	s.drain()
+	s.events.Drain()
 	return s.inc.Aggregates()
 }
 
@@ -268,7 +230,7 @@ func (s *Service) Aggregates() ([]*agg.Aggregate, error) {
 func (s *Service) AggStats() agg.IncrementalStats {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	s.drain()
+	s.events.Drain()
 	return s.inc.Stats()
 }
 
@@ -314,7 +276,7 @@ func (s *Service) RunOnce() (RunSummary, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	began := time.Now()
-	s.drain()
+	s.events.Drain()
 
 	now := s.cfg.Clock()
 	start := alignUp(now, s.cfg.Resolution)
@@ -463,7 +425,7 @@ type Status struct {
 	ApplyErrors  uint64 `json:"apply_errors"`
 	LedgerErrors uint64 `json:"ledger_errors"`
 	// Resyncs counts lagged-subscription replay resyncs: how often the
-	// bounded event queue overflowed and the aggregator was rebuilt.
+	// bounded event queue overflowed and the aggregator was reset and replayed.
 	Resyncs uint64 `json:"resyncs"`
 	// Aggregator snapshots the incremental aggregator.
 	Aggregator agg.IncrementalStats `json:"aggregator"`
@@ -478,7 +440,7 @@ type Status struct {
 // Status drains pending events and snapshots the service counters.
 func (s *Service) Status() Status {
 	s.runMu.Lock()
-	s.drain()
+	s.events.Drain()
 	aggStats := s.inc.Stats()
 	s.runMu.Unlock()
 
@@ -490,7 +452,7 @@ func (s *Service) Status() Status {
 		AssignedKWh:  s.assignedKWh,
 		ApplyErrors:  s.applyErrs,
 		LedgerErrors: s.ledgerErrs,
-		Resyncs:      s.resyncs,
+		Resyncs:      s.events.Resyncs(),
 		Aggregator:   aggStats,
 		Recovered:    s.recovered,
 	}
@@ -508,12 +470,4 @@ func (s *Service) counters() (runs, decisions, applyErrs, ledgerErrs, dropped ui
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.runs, s.decisions, s.applyErrs, s.ledgerErrs, s.dropped, s.assignedKWh
-}
-
-// resyncCount returns the lifetime lagged-resync counter for the metric
-// callback.
-func (s *Service) resyncCount() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resyncs
 }
