@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check docs-check lint bench bench-smoke benchdiff fuzz fuzz-smoke soak soak-overload crash sched-crash verify
+.PHONY: build test race vet fmt-check lint bench bench-smoke benchdiff fuzz fuzz-smoke soak soak-overload crash sched-crash verify
 
 build:
 	$(GO) build ./...
@@ -26,14 +26,9 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Fail when an exported identifier in the contract packages lacks a doc
-# comment. The check is flexvet's doccheck analyzer (the former standalone
-# scripts/docscheck), scoped by the analyzer itself to the contract packages.
-docs-check:
-	$(GO) run ./scripts/flexvet -enable doccheck ./...
-
 # Run the full flexvet suite — the domain invariants go vet cannot know
-# about (docs/LINTING.md describes every analyzer).
+# about, doccheck's contract-package doc coverage included
+# (docs/LINTING.md describes every analyzer).
 lint:
 	$(GO) run ./scripts/flexvet ./...
 
@@ -103,5 +98,6 @@ crash:
 sched-crash:
 	$(GO) test -race -timeout 5m -run TestCrashSchedulerLedger ./internal/sched
 
-verify:
-	sh scripts/verify.sh
+# The full pre-merge gate, and what CI runs: formatting, vet, flexvet,
+# build, test, then the race detector over the concurrent packages.
+verify: fmt-check vet lint build test race

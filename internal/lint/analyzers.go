@@ -8,11 +8,9 @@ func All() []*Analyzer {
 		DocCheck,
 		ErrFlow,
 		FloatCmp,
-		JournalCheck,
 		LabelCard,
 		LockOrder,
 		MutexGuard,
-		PublishCheck,
 		ValidateCheck,
 	}
 }

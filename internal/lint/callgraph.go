@@ -5,48 +5,6 @@ import (
 	"go/types"
 )
 
-// DeclSite pairs a function declaration with the package that defines it.
-type DeclSite struct {
-	// Pkg is the defining package.
-	Pkg *Package
-	// Decl is the function or method declaration.
-	Decl *ast.FuncDecl
-}
-
-// CallGraph maps the *types.Func objects of every loaded package to their
-// declarations, so analyzers can chase statically resolvable calls across
-// package boundaries. Dynamic calls — func values, interface methods —
-// resolve to nothing, and the flow analyzers treat them as opaque.
-type CallGraph struct {
-	decls map[*types.Func]DeclSite
-}
-
-// NewCallGraph indexes the function declarations of every loaded package.
-func NewCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{decls: make(map[*types.Func]DeclSite)}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					g.decls[fn] = DeclSite{Pkg: pkg, Decl: fd}
-				}
-			}
-		}
-	}
-	return g
-}
-
-// Decl returns the declaration of fn. ok is false when fn is not declared
-// in the loaded source (standard library, interface methods).
-func (g *CallGraph) Decl(fn *types.Func) (DeclSite, bool) {
-	site, ok := g.decls[fn]
-	return site, ok
-}
-
 // Callee statically resolves a call expression to the *types.Func it
 // invokes: a plain function, a qualified pkg.F, or a method value call.
 // Dynamic calls (func-typed values, method expressions applied later) and
@@ -75,34 +33,36 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// receiverNamed returns the named receiver type of a method, nil for plain
+// functions or unnamed receivers.
+func receiverNamed(fn *types.Func) *types.Named {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	named, ok := namedType(sig.Recv().Type())
+	if !ok {
+		return nil
+	}
+	return named
+}
+
 // Shared caches the flow artifacts of one Run so every analyzer pass reuses
-// them: the module-wide call graph, per-function control-flow graphs, and a
-// grab-bag of analyzer-computed module-wide facts.
+// them: per-function control-flow graphs and a grab-bag of
+// analyzer-computed module-wide facts.
 type Shared struct {
-	pkgs  []*Package
-	graph *CallGraph
-	cfgs  map[*ast.FuncDecl]*CFG
+	cfgs map[*ast.FuncDecl]*CFG
 
 	// Facts caches module-wide analyzer state keyed by analyzer name
 	// (lockorder stores its acquisition relation here), built on first use.
 	Facts map[string]any
 }
 
-func newShared(pkgs []*Package) *Shared {
+func newShared() *Shared {
 	return &Shared{
-		pkgs:  pkgs,
 		cfgs:  make(map[*ast.FuncDecl]*CFG),
 		Facts: make(map[string]any),
 	}
-}
-
-// Graph returns the call graph over every loaded package, built on first
-// use.
-func (s *Shared) Graph() *CallGraph {
-	if s.graph == nil {
-		s.graph = NewCallGraph(s.pkgs)
-	}
-	return s.graph
 }
 
 // CFGOf returns the control-flow graph of fd's body, cached per

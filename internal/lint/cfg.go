@@ -23,10 +23,10 @@ type Block struct {
 
 // CFG is the intra-procedural control-flow graph of one function body with
 // dominator information. Build one with NewCFG, or Shared.CFGOf which
-// caches per declaration. The write-ahead analyzers ask one question of it:
-// Dominates — does the journal append execute before the mutation on every
-// path? goto is approximated as an edge to the exit; a call to panic
-// terminates its block.
+// caches per declaration. errflow walks it forward from an error's
+// binding; Dominates answers whether one statement executes before another
+// on every path. goto is approximated as an edge to the exit; a call to
+// panic terminates its block.
 type CFG struct {
 	// Entry is the function entry block.
 	Entry *Block

@@ -7,8 +7,8 @@ import (
 )
 
 // Directive kinds understood by the flexvet comment parser. The //lint:ignore
-// family suppresses findings; the //flexvet: family marks functions for the
-// flow-aware analyzers (docs/LINTING.md documents each one).
+// family suppresses findings; the //flexvet: family marks functions for
+// alloccheck (docs/LINTING.md documents both).
 const (
 	// DirIgnore suppresses an analyzer's findings on the directive's line
 	// and the line below it. The analyzer name and a reason are mandatory.
@@ -16,14 +16,6 @@ const (
 	// DirHotpath subjects a function to alloccheck's per-element allocation
 	// rules (the zero-allocation submit/list/extract paths).
 	DirHotpath = "hotpath"
-	// DirReplay exempts a recovery function from journalcheck: it applies
-	// events that were already journaled, so writing ahead again would be
-	// wrong. The reason is mandatory.
-	DirReplay = "replay"
-	// DirJournaled marks a method that mutates journaled state: every call
-	// to it must be dominated by a call to the named journal gate on the
-	// same receiver (journalcheck enforces this).
-	DirJournaled = "journaled"
 )
 
 // lintPrefix and flexvetPrefix open the two directive families; ignorePrefix
@@ -41,11 +33,8 @@ type Directive struct {
 	Kind string
 	// Analyzer is the suppressed analyzer's name, or "all" (DirIgnore only).
 	Analyzer string
-	// Arg is the directive argument: the journal-gate method name for
-	// DirJournaled.
-	Arg string
-	// Reason is the human explanation (mandatory for DirIgnore and
-	// DirReplay, optional elsewhere).
+	// Reason is the human explanation (mandatory for DirIgnore, optional
+	// for DirHotpath).
 	Reason string
 }
 
@@ -76,23 +65,11 @@ func ParseDirective(text string) (d Directive, ok bool, msg string) {
 		if i := strings.IndexAny(rest, " \t"); i >= 0 {
 			name, args = rest[:i], strings.Fields(rest[i:])
 		}
-		switch name {
-		case DirHotpath:
-			// Trailing words are free-form commentary.
-			return Directive{Kind: DirHotpath, Reason: strings.Join(args, " ")}, true, ""
-		case DirReplay:
-			if len(args) == 0 {
-				return Directive{}, false, `malformed //flexvet:replay directive: the reason is mandatory ("//flexvet:replay <reason>")`
-			}
-			return Directive{Kind: DirReplay, Reason: strings.Join(args, " ")}, true, ""
-		case DirJournaled:
-			if len(args) == 0 {
-				return Directive{}, false, `malformed //flexvet:journaled directive: want "//flexvet:journaled <gate method>"`
-			}
-			return Directive{Kind: DirJournaled, Arg: args[0], Reason: strings.Join(args[1:], " ")}, true, ""
-		default:
-			return Directive{}, false, fmt.Sprintf("unknown //flexvet: directive %q (known: hotpath, replay, journaled)", name)
+		if name != DirHotpath {
+			return Directive{}, false, fmt.Sprintf("unknown //flexvet: directive %q (known: hotpath)", name)
 		}
+		// Trailing words are free-form commentary.
+		return Directive{Kind: DirHotpath, Reason: strings.Join(args, " ")}, true, ""
 	}
 	return Directive{}, false, ""
 }

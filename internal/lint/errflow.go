@@ -6,18 +6,22 @@ import (
 	"go/types"
 )
 
-// errflowTargets lists the methods whose error results guard durability:
-// dropping one silently de-syncs the journal from the in-memory state. The
-// journal gates named by //flexvet:journaled annotations and the
-// journalRules table join the set automatically.
+// errflowTargets lists the functions whose error results guard durability:
+// dropping one silently de-syncs the journal from the in-memory state. A
+// row names methods of typ, or plain functions when typ is empty. The
+// journal gates are here too: a receipt taken with its error dropped
+// (rc, _ := sh.journalLocked(w, ev)) still compiles.
 var errflowTargets = []struct {
-	pkg     string
-	typ     string
-	methods []string
+	pkg   string
+	typ   string
+	funcs []string
 }{
-	{pkg: "internal/wal", typ: "Log", methods: []string{"Append", "Sync", "WriteSnapshot", "Compact"}},
-	{pkg: "internal/market", typ: "Store", methods: []string{"Submit", "Accept", "Reject", "Assign", "ExpireOverdue"}},
-	{pkg: "internal/market", typ: "Journal", methods: []string{"Snapshot"}},
+	{pkg: "internal/wal", typ: "Log", funcs: []string{"Append", "Sync", "WriteSnapshot", "Compact"}},
+	{pkg: "internal/market", typ: "Store", funcs: []string{"Submit", "Accept", "Reject", "Assign", "ExpireOverdue"}},
+	{pkg: "internal/market", typ: "Journal", funcs: []string{"Snapshot"}},
+	{pkg: "internal/market", typ: "shard", funcs: []string{"journalLocked"}},
+	{pkg: "internal/sched", typ: "Service", funcs: []string{"journalDecision", "journalRun"}},
+	{pkg: "internal/sched", funcs: []string{"appendRecord"}},
 }
 
 // ErrFlow tracks the error results of the durability-critical calls — WAL
@@ -35,68 +39,40 @@ var ErrFlow = &Analyzer{
 }
 
 func runErrFlow(pass *Pass) {
-	gates := journalGateNames(pass)
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkErrFlow(pass, fd, gates)
+			checkErrFlow(pass, fd)
 		}
 	}
-}
-
-// journalGateNames collects the function names whose error results errflow
-// must track: every gate referenced by a //flexvet:journaled annotation in
-// the package, plus the journalRules gates when the package is under a
-// rule's scope.
-func journalGateNames(pass *Pass) map[string]bool {
-	gates := make(map[string]bool)
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if d, ok := funcDirective(fd, DirJournaled); ok {
-				gates[d.Arg] = true
-			}
-		}
-	}
-	for _, r := range journalRules {
-		if PathMatches(pass.Pkg.Path, r.pkg) {
-			for _, g := range r.gates {
-				gates[g] = true
-			}
-		}
-	}
-	return gates
 }
 
 // checkErrFlow walks one function body statement-wise, classifying every
 // call to a tracked function by how its error result is received.
-func checkErrFlow(pass *Pass, fd *ast.FuncDecl, gates map[string]bool) {
+func checkErrFlow(pass *Pass, fd *ast.FuncDecl) {
 	cfg := pass.Shared.CFGOf(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.ExprStmt:
-			if call, what, _ := trackedCall(pass, s.X, gates); call != nil {
+			if call, what, _ := trackedCall(pass, s.X); call != nil {
 				pass.Reportf(call.Pos(), "error from %s is discarded; a dropped %s error de-syncs the journal from the applied state — inspect it", what, what)
 			}
 		case *ast.DeferStmt:
-			if call, what, _ := trackedCall(pass, s.Call, gates); call != nil {
+			if call, what, _ := trackedCall(pass, s.Call); call != nil {
 				pass.Reportf(call.Pos(), "error from %s is discarded by defer; inspect it in a closure instead", what)
 			}
 		case *ast.GoStmt:
-			if call, what, _ := trackedCall(pass, s.Call, gates); call != nil {
+			if call, what, _ := trackedCall(pass, s.Call); call != nil {
 				pass.Reportf(call.Pos(), "error from %s is discarded by go; the goroutine must inspect it", what)
 			}
 		case *ast.AssignStmt:
 			if len(s.Rhs) != 1 {
 				return true
 			}
-			call, what, errIdx := trackedCall(pass, s.Rhs[0], gates)
+			call, what, errIdx := trackedCall(pass, s.Rhs[0])
 			if call == nil || errIdx >= len(s.Lhs) {
 				return true
 			}
@@ -111,7 +87,7 @@ func checkErrFlow(pass *Pass, fd *ast.FuncDecl, gates map[string]bool) {
 				if !ok || len(vs.Values) != 1 {
 					continue
 				}
-				call, what, errIdx := trackedCall(pass, vs.Values[0], gates)
+				call, what, errIdx := trackedCall(pass, vs.Values[0])
 				if call == nil || errIdx >= len(vs.Names) {
 					continue
 				}
@@ -229,7 +205,7 @@ func touchesObj(pass *Pass, n ast.Node, obj types.Object) (read, written bool) {
 // trackedCall matches an expression that is a call to one of errflow's
 // targets and returns the call, a human name for it, and the index of the
 // error result. Only calls that actually return an error are tracked.
-func trackedCall(pass *Pass, e ast.Expr, gates map[string]bool) (*ast.CallExpr, string, int) {
+func trackedCall(pass *Pass, e ast.Expr) (*ast.CallExpr, string, int) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return nil, "", 0
@@ -248,23 +224,21 @@ func trackedCall(pass *Pass, e ast.Expr, gates map[string]bool) (*ast.CallExpr, 
 			errIdx = i
 		}
 	}
-	if errIdx < 0 {
+	if errIdx < 0 || fn.Pkg() == nil {
 		return nil, "", 0
 	}
-	if gates[fn.Name()] {
-		return call, fn.Name(), errIdx
-	}
-	recv := receiverNamed(fn)
-	if recv == nil || fn.Pkg() == nil {
-		return nil, "", 0
+	typ, what := "", fn.Name()
+	if recv := receiverNamed(fn); recv != nil {
+		typ = recv.Obj().Name()
+		what = typ + "." + what
 	}
 	for _, t := range errflowTargets {
-		if recv.Obj().Name() != t.typ || !PathMatches(fn.Pkg().Path(), t.pkg) {
+		if t.typ != typ || !PathMatches(fn.Pkg().Path(), t.pkg) {
 			continue
 		}
-		for _, m := range t.methods {
-			if fn.Name() == m {
-				return call, t.typ + "." + m, errIdx
+		for _, name := range t.funcs {
+			if fn.Name() == name {
+				return call, what, errIdx
 			}
 		}
 	}

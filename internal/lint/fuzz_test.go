@@ -18,6 +18,7 @@ func FuzzLintDirectives(f *testing.F) {
 		"//lint: ignore floatcmp x",
 		"//flexvet:hotpath",
 		"//flexvet:hotpath called per sample",
+		// Retired verbs: reported as unknown, never silently accepted.
 		"//flexvet:replay recovery applies journaled events",
 		"//flexvet:replay",
 		"//flexvet:journaled journalLocked",
@@ -47,14 +48,6 @@ func FuzzLintDirectives(f *testing.F) {
 				}
 			case DirHotpath:
 				// No mandatory arguments.
-			case DirReplay:
-				if d.Reason == "" {
-					t.Fatalf("ParseDirective(%q): replay directive missing reason: %+v", text, d)
-				}
-			case DirJournaled:
-				if d.Arg == "" {
-					t.Fatalf("ParseDirective(%q): journaled directive missing gate: %+v", text, d)
-				}
 			default:
 				t.Fatalf("ParseDirective(%q): unknown kind %q", text, d.Kind)
 			}

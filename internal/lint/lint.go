@@ -97,8 +97,8 @@ type Pass struct {
 	// this called function return only constants?") can be answered from
 	// source.
 	All []*Package
-	// Shared caches the flow artifacts of this Run — call graph, CFGs,
-	// module-wide analyzer facts — across every pass.
+	// Shared caches the flow artifacts of this Run — CFGs and module-wide
+	// analyzer facts — across every pass.
 	Shared *Shared
 
 	diags []Diagnostic
@@ -121,7 +121,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // by file, line, column and analyzer name.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
-	shared := newShared(pkgs)
+	shared := newShared()
 	for _, pkg := range pkgs {
 		ignores, malformed := collectIgnores(pkg)
 		out = append(out, malformed...)

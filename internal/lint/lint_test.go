@@ -144,28 +144,16 @@ func TestDocCheck(t *testing.T) {
 	)
 }
 
-func TestJournalCheck(t *testing.T) {
-	// The sched stub imports the market stub, so both load together and the
-	// cross-package ledger rule resolves Store.Assign from source.
-	checkFixture(t, JournalCheck, []string{
-		"journalcheck/internal/market",
-		"journalcheck/internal/sched",
-	})
-}
-
 func TestErrFlow(t *testing.T) {
 	checkFixture(t, ErrFlow, []string{
 		"errflow/internal/market",
+		"errflow/internal/sched",
 		"errflow/internal/wal",
 	})
 }
 
 func TestLockOrder(t *testing.T) {
 	checkFixture(t, LockOrder, []string{"lockorder"})
-}
-
-func TestPublishCheck(t *testing.T) {
-	checkFixture(t, PublishCheck, []string{"publishcheck/internal/market"})
 }
 
 func TestAllocCheck(t *testing.T) {
@@ -193,8 +181,8 @@ func TestPathMatches(t *testing.T) {
 
 func TestAnalyzerRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 11 {
-		t.Fatalf("expected 11 analyzers, got %d", len(all))
+	if len(all) != 9 {
+		t.Fatalf("expected 9 analyzers, got %d", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {

@@ -11,23 +11,25 @@ func (s *Store) Submit(id string) error { return nil }
 // Accept transitions an offer.
 func (s *Store) Accept(id string) error { return nil }
 
+type writeLocked struct{}
+
+type journaled struct{}
+
 type shard struct {
 	journal func(kind string) error
 }
 
-// journalLocked is the write-ahead gate; errflow tracks it because the
-// insertLocked annotation names it.
-func (sh *shard) journalLocked(kind string) error {
+// journalLocked is the write-ahead gate; its receipt does not prove
+// success, so errflow tracks its error.
+func (sh *shard) journalLocked(_ writeLocked, kind string) (journaled, error) {
 	if sh.journal == nil {
-		return nil
+		return journaled{}, nil
 	}
-	return sh.journal(kind)
+	return journaled{}, sh.journal(kind)
 }
 
 // insertLocked applies a submit that journalLocked already recorded.
-//
-//flexvet:journaled journalLocked
-func (sh *shard) insertLocked(id string) {}
+func (sh *shard) insertLocked(_ journaled, id string) {}
 
 func dropped(s *Store) {
 	s.Submit("a") // want:errflow
@@ -62,15 +64,21 @@ func partiallyChecked(s *Store, strict bool) error {
 	return nil
 }
 
-func gateDropped(sh *shard) {
-	sh.journalLocked("submit") // want:errflow
+func gateDropped(sh *shard, w writeLocked) {
+	sh.journalLocked(w, "submit") // want:errflow
 }
 
-func gateChecked(sh *shard) error {
-	if err := sh.journalLocked("submit"); err != nil {
+func receiptKeptErrorDropped(sh *shard, w writeLocked) {
+	rc, _ := sh.journalLocked(w, "submit") // want:errflow
+	sh.insertLocked(rc, "a")
+}
+
+func gateChecked(sh *shard, w writeLocked) error {
+	rc, err := sh.journalLocked(w, "submit")
+	if err != nil {
 		return err
 	}
-	sh.insertLocked("a")
+	sh.insertLocked(rc, "a")
 	return nil
 }
 

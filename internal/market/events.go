@@ -262,12 +262,13 @@ func (f *Follower) Resyncs() uint64 { return f.resyncs.Load() }
 func (f *Follower) Close() { f.sub.Close() }
 
 // publishLocked delivers one live event to every attached subscriber,
-// numbering it with the shard's event sequence. It is called with sh.mu
-// held at the mutation site (insertLocked, transitionLocked), so each
-// shard's delivery order is exactly its mutation order and a concurrent
-// subscribeReplay can never observe a record without also receiving every
-// later transition. Closed subscriptions are dropped in place.
-func (sh *shard) publishLocked(kind EventKind, r *Record, at time.Time) {
+// numbering it with the shard's event sequence. Its journaled receipt
+// means it runs under the write lock at the mutation site (insertLocked,
+// transitionLocked), so each shard's delivery order is exactly its
+// mutation order and a concurrent subscribeReplay can never observe a
+// record without also receiving every later transition. Closed
+// subscriptions are dropped in place.
+func (sh *shard) publishLocked(_ journaled, kind EventKind, r *Record, at time.Time) {
 	if len(sh.subs) == 0 {
 		return
 	}

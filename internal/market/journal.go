@@ -55,11 +55,10 @@ type event struct {
 
 // applyEvent replays one journaled event onto the store, bypassing clock
 // and deadline checks: the event records an outcome that was already
-// acknowledged, so replay must reproduce it verbatim. Errors mean the
-// journal does not match the state it claims to extend — corruption, not
-// a lifecycle violation.
-//
-//flexvet:replay events read back from the journal were appended before they were applied
+// acknowledged, so replay must reproduce it verbatim. Its receipts come
+// from replayed, not journalLocked: the event is already in the journal.
+// Errors mean the journal does not match the state it claims to extend —
+// corruption, not a lifecycle violation.
 func (s *Store) applyEvent(ev event) error {
 	switch ev.Kind {
 	case evSubmit:
@@ -68,27 +67,27 @@ func (s *Store) applyEvent(ev event) error {
 				return errors.New("submit event with empty offer")
 			}
 			sh := s.shardFor(f.ID)
-			sh.mu.Lock()
+			w := sh.mu.Lock()
 			if _, dup := sh.records[f.ID]; dup {
 				sh.mu.Unlock()
 				return fmt.Errorf("submit event duplicates offer %s", f.ID)
 			}
-			sh.insertLocked(&Record{Offer: f, State: Offered, SubmittedAt: ev.At})
+			sh.insertLocked(replayed(w), &Record{Offer: f, State: Offered, SubmittedAt: ev.At})
 			sh.mu.Unlock()
 		}
 	case evDecide:
 		sh := s.shardFor(ev.ID)
-		sh.mu.Lock()
+		w := sh.mu.Lock()
 		r, ok := sh.records[ev.ID]
 		if !ok {
 			sh.mu.Unlock()
 			return fmt.Errorf("decide event for unknown offer %s", ev.ID)
 		}
-		sh.transitionLocked(r, ev.To, ev.At)
+		sh.transitionLocked(replayed(w), r, ev.To, ev.At)
 		sh.mu.Unlock()
 	case evAssign:
 		sh := s.shardFor(ev.ID)
-		sh.mu.Lock()
+		w := sh.mu.Lock()
 		r, ok := sh.records[ev.ID]
 		if !ok {
 			sh.mu.Unlock()
@@ -100,18 +99,18 @@ func (s *Store) applyEvent(ev event) error {
 			return fmt.Errorf("assign event for %s does not replay: %v", ev.ID, err)
 		}
 		r.Assignment = asg
-		sh.transitionLocked(r, Assigned, ev.At)
+		sh.transitionLocked(replayed(w), r, Assigned, ev.At)
 		sh.mu.Unlock()
 	case evExpire:
 		for _, id := range ev.IDs {
 			sh := s.shardFor(id)
-			sh.mu.Lock()
+			w := sh.mu.Lock()
 			r, ok := sh.records[id]
 			if !ok {
 				sh.mu.Unlock()
 				return fmt.Errorf("expire event for unknown offer %s", id)
 			}
-			sh.transitionLocked(r, Expired, ev.At)
+			sh.transitionLocked(replayed(w), r, Expired, ev.At)
 			sh.mu.Unlock()
 		}
 	default:
@@ -204,13 +203,13 @@ func (s *Store) restoreState(data []byte) error {
 		order[k] = append(order[k], id)
 	}
 	for k, sh := range s.shards {
-		sh.mu.Lock()
+		w := sh.mu.Lock()
 		sh.order = order[k]
 		sh.records = make(map[string]*Record, len(order[k]))
 		for _, id := range order[k] {
 			sh.records[id] = snap.Records[id]
 		}
-		sh.rebuildIndexesLocked()
+		sh.rebuildIndexesLocked(w)
 		sh.mu.Unlock()
 	}
 	return nil
@@ -233,10 +232,10 @@ func (s *Store) restoreShard(k int, data []byte) error {
 		}
 	}
 	sh := s.shards[k]
-	sh.mu.Lock()
+	w := sh.mu.Lock()
 	sh.records = snap.Records
 	sh.order = snap.Order
-	sh.rebuildIndexesLocked()
+	sh.rebuildIndexesLocked(w)
 	sh.mu.Unlock()
 	return nil
 }

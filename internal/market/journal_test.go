@@ -177,39 +177,68 @@ func TestAutomaticSnapshotsCompactTheLog(t *testing.T) {
 // failingJournal is a journal hook that refuses every event.
 func failingJournal(event) error { return errors.New("disk on fire") }
 
+// TestJournalFailureLeavesStoreUnchanged covers every journalLocked call
+// site: when the append fails, the call returns ErrJournal, the store's
+// state is byte-identical to before, and a subscriber attached before the
+// call sees no event. It is the run-time half of the write-ahead proof;
+// the journaled receipt is the compile-time half.
 func TestJournalFailureLeavesStoreUnchanged(t *testing.T) {
-	clock := &fakeClock{now: t0}
-	s := NewStore(clock.Now)
-	if err := s.Submit(testOffer("pre")); err != nil {
-		t.Fatalf("Submit: %v", err)
+	cases := []struct {
+		name    string
+		advance time.Duration // clock step before the call
+		call    func(s *Store) error
+	}{
+		{"Submit", 0, func(s *Store) error { return s.Submit(testOffer("new")) }},
+		{"SubmitBatch", 0, func(s *Store) error {
+			return s.SubmitBatch(flexoffer.Set{testOffer("b0"), testOffer("b1")}).FirstErr()
+		}},
+		{"Accept", 0, func(s *Store) error { return s.Accept("offered") }},
+		{"Reject", 0, func(s *Store) error { return s.Reject("offered") }},
+		{"Accept past acceptance deadline", 3 * time.Hour, func(s *Store) error { return s.Accept("offered") }},
+		{"Assign", 0, func(s *Store) error {
+			_, err := s.Assign("accepted", t0.Add(6*time.Hour), midEnergies())
+			return err
+		}},
+		{"Assign past assignment deadline", 5 * time.Hour, func(s *Store) error {
+			_, err := s.Assign("accepted", t0.Add(6*time.Hour), midEnergies())
+			return err
+		}},
+		{"ExpireOverdue", 3 * time.Hour, func(s *Store) error {
+			_, err := s.ExpireOverdue()
+			return err
+		}},
 	}
-	if err := s.Accept("pre"); err != nil {
-		t.Fatalf("Accept: %v", err)
-	}
-	before := stateImage(t, s)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			clock := &fakeClock{now: t0}
+			s := NewStore(clock.Now)
+			for _, id := range []string{"offered", "accepted"} {
+				if err := s.Submit(testOffer(id)); err != nil {
+					t.Fatalf("Submit %s: %v", id, err)
+				}
+			}
+			if err := s.Accept("accepted"); err != nil {
+				t.Fatalf("Accept: %v", err)
+			}
+			before := stateImage(t, s)
+			sub := s.subscribeReplay(0)
+			defer sub.Close()
+			for _, ok := sub.TryNext(); ok; _, ok = sub.TryNext() {
+				// Discard the replay bootstrap: only live events count.
+			}
 
-	s.setJournal(failingJournal)
-	if err := s.Submit(testOffer("a")); !errors.Is(err, ErrJournal) {
-		t.Fatalf("Submit = %v, want ErrJournal", err)
-	}
-	if _, err := s.Assign("pre", t0.Add(6*time.Hour), midEnergies()); !errors.Is(err, ErrJournal) {
-		t.Fatalf("Assign = %v, want ErrJournal", err)
-	}
-	clock.Advance(5 * time.Hour) // past the assignment deadline, so "pre" is overdue
-	if _, err := s.ExpireOverdue(); !errors.Is(err, ErrJournal) {
-		t.Fatalf("ExpireOverdue = %v, want ErrJournal", err)
-	}
-	// The deadline-expiry side path of Accept must not apply either.
-	if err := s.Accept("a2"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Accept unknown = %v, want ErrNotFound", err)
-	}
-	clock.Advance(-5 * time.Hour)
-	if err := s.Reject("pre"); !errors.Is(err, ErrTransition) {
-		// "pre" is Accepted; Reject fails before journaling.
-		t.Fatalf("Reject accepted = %v, want ErrTransition", err)
-	}
-	if got := stateImage(t, s); !bytes.Equal(got, before) {
-		t.Fatalf("journal failures mutated the store:\n got %s\nwant %s", got, before)
+			s.setJournal(failingJournal)
+			clock.Advance(c.advance)
+			if err := c.call(s); !errors.Is(err, ErrJournal) {
+				t.Fatalf("%s = %v, want ErrJournal", c.name, err)
+			}
+			if got := stateImage(t, s); !bytes.Equal(got, before) {
+				t.Fatalf("journal failure mutated the store:\n got %s\nwant %s", got, before)
+			}
+			if ev, ok := sub.TryNext(); ok {
+				t.Fatalf("journal failure published %s for %s", ev.Kind, ev.Offer.ID)
+			}
+		})
 	}
 }
 

@@ -30,8 +30,27 @@ type lockMeter struct {
 	heldAt    time.Time     // guarded by mu: when the write lock was taken
 }
 
+// writeLocked is the receipt for holding a shard's write lock. Only
+// lockMeter.Lock returns one (RLock returns nothing), and every shard
+// method that mutates takes one, directly or through journaled, so
+// mutating under a read lock does not compile.
+type writeLocked struct{}
+
+// journaled is the receipt for a successful write-ahead append. Only
+// journalLocked returns one, and replayed mints one for events read back
+// from the journal. insertLocked, transitionLocked and publishLocked take
+// it, so mutating journaled state without appending first does not
+// compile. It has no fields yet: group commit can add the record's LSN
+// and a commit wait here without changing those signatures.
+type journaled struct{}
+
+// replayed is the receipt for recovery: an event read back from the
+// journal was appended before it was first applied, so applying it again
+// needs no second append. Replay still holds the write lock.
+func replayed(writeLocked) journaled { return journaled{} }
+
 // Lock acquires the write lock, accounting wait time and queue depth.
-func (m *lockMeter) Lock() {
+func (m *lockMeter) Lock() writeLocked {
 	m.waiters.Add(1)
 	start := time.Now()
 	m.mu.Lock()
@@ -39,6 +58,7 @@ func (m *lockMeter) Lock() {
 	m.waiters.Add(-1)
 	m.waitNanos.Add(uint64(now.Sub(start)))
 	m.heldAt = now
+	return writeLocked{}
 }
 
 // Unlock releases the write lock, accounting the hold time.
@@ -161,24 +181,21 @@ func newShard(idx int) *shard {
 	return &shard{idx: idx, records: make(map[string]*Record)}
 }
 
-// journalLocked persists ev through the shard's attached journal, if any.
-// Callers hold sh.mu and apply the mutation ev describes only on nil
-// return — the write-ahead contract: nothing is acknowledged that is not
-// durable first.
-func (sh *shard) journalLocked(ev event) error {
-	if sh.journal == nil {
-		return nil
+// journalLocked persists ev through the shard's attached journal, if any,
+// and returns the receipt the mutation ev describes needs. Callers apply
+// that mutation only on nil error — the write-ahead contract: nothing is
+// acknowledged that is not durable first.
+func (sh *shard) journalLocked(_ writeLocked, ev event) (journaled, error) {
+	if sh.journal != nil {
+		if err := sh.journal(ev); err != nil {
+			return journaled{}, fmt.Errorf("%w: %v", ErrJournal, err)
+		}
 	}
-	if err := sh.journal(ev); err != nil {
-		return fmt.Errorf("%w: %v", ErrJournal, err)
-	}
-	return nil
+	return journaled{}, nil
 }
 
 // insertLocked adds a freshly submitted record and maintains every index.
-//
-//flexvet:journaled journalLocked
-func (sh *shard) insertLocked(f *Record) {
+func (sh *shard) insertLocked(rc journaled, f *Record) {
 	id := f.Offer.ID
 	if f.offerRaw == nil {
 		if b, err := json.Marshal(f.Offer); err == nil {
@@ -193,14 +210,12 @@ func (sh *shard) insertLocked(f *Record) {
 	if !f.Offer.AcceptanceTime.IsZero() {
 		heap.Push(&sh.expiry, expiryEntry{at: f.Offer.AcceptanceTime, id: id, state: Offered})
 	}
-	sh.publishLocked(EventSubmitted, f, f.SubmittedAt)
+	sh.publishLocked(rc, EventSubmitted, f, f.SubmittedAt)
 }
 
 // transitionLocked moves a record to state `to` at time `at` and
 // maintains the per-state indexes, counts and the energy sum.
-//
-//flexvet:journaled journalLocked
-func (sh *shard) transitionLocked(r *Record, to State, at time.Time) {
+func (sh *shard) transitionLocked(rc journaled, r *Record, to State, at time.Time) {
 	from := r.State
 	sh.counts[from]--
 	sh.counts[to]++
@@ -213,7 +228,7 @@ func (sh *shard) transitionLocked(r *Record, to State, at time.Time) {
 	}
 	r.State = to
 	r.DecidedAt = at
-	sh.publishLocked(stateEventKind(to), r, at)
+	sh.publishLocked(rc, stateEventKind(to), r, at)
 }
 
 // nonTerminal reports whether records in st still count as flexible
@@ -226,7 +241,7 @@ func nonTerminal(st State) bool { return st == Offered || st == Accepted }
 // pushed — are discarded permanently; due entries are returned to the
 // caller, who must either expire them or push them back (rollbackLocked)
 // if the sweep cannot be made durable.
-func (sh *shard) overdueLocked(now time.Time) []expiryEntry {
+func (sh *shard) overdueLocked(_ writeLocked, now time.Time) []expiryEntry {
 	var due []expiryEntry
 	for len(sh.expiry) > 0 {
 		e := sh.expiry.peek()
@@ -246,32 +261,16 @@ func (sh *shard) overdueLocked(now time.Time) []expiryEntry {
 
 // rollbackLocked pushes due entries back onto the heap after a failed
 // (unjournalable) sweep, so no deadline check is ever lost.
-func (sh *shard) rollbackLocked(due []expiryEntry) {
+func (sh *shard) rollbackLocked(_ writeLocked, due []expiryEntry) {
 	for _, e := range due {
 		heap.Push(&sh.expiry, e)
 	}
 }
 
-// compactStateLocked rewrites byState[st] without stale entries when more
-// than half the list is stale — amortised O(1) per transition, and it
-// never runs for terminal states (their entries cannot go stale).
-func (sh *shard) compactStateLocked(st State) {
-	if len(sh.byState[st]) <= 2*sh.counts[st] || len(sh.byState[st]) < 64 {
-		return
-	}
-	live := make([]string, 0, sh.counts[st])
-	for _, id := range sh.byState[st] {
-		if r := sh.records[id]; r != nil && r.State == st {
-			live = append(live, id)
-		}
-	}
-	sh.byState[st] = live
-}
-
 // rebuildIndexesLocked derives every index (order stays as loaded) from
 // the records map after a snapshot restore: per-state lists, counts,
 // energy and the expiry heap.
-func (sh *shard) rebuildIndexesLocked() {
+func (sh *shard) rebuildIndexesLocked(_ writeLocked) {
 	sh.byState = [numStates][]string{}
 	sh.counts = [numStates]int{}
 	sh.energy = 0

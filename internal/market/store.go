@@ -308,7 +308,7 @@ func (s *Store) Submit(f *flexoffer.FlexOffer) error {
 		return fmt.Errorf("%w: empty offer id", ErrBadRequest)
 	}
 	sh := s.shardFor(f.ID)
-	sh.mu.Lock()
+	w := sh.mu.Lock()
 	defer sh.mu.Unlock()
 	now := s.clock()
 	if !f.AcceptanceTime.IsZero() && now.After(f.AcceptanceTime) {
@@ -318,10 +318,11 @@ func (s *Store) Submit(f *flexoffer.FlexOffer) error {
 		return fmt.Errorf("%w: %s", ErrDuplicate, f.ID)
 	}
 	offer := f.Clone()
-	if err := sh.journalLocked(event{Kind: evSubmit, At: now, Offers: flexoffer.Set{offer}}); err != nil {
+	rc, err := sh.journalLocked(w, event{Kind: evSubmit, At: now, Offers: flexoffer.Set{offer}})
+	if err != nil {
 		return err
 	}
-	sh.insertLocked(&Record{Offer: offer, State: Offered, SubmittedAt: now})
+	sh.insertLocked(rc, &Record{Offer: offer, State: Offered, SubmittedAt: now})
 	return nil
 }
 
@@ -430,7 +431,7 @@ func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
 	for _, k := range keys {
 		group := byShard[k]
 		sh := s.shards[k]
-		sh.mu.Lock()
+		w := sh.mu.Lock()
 		now := s.clock()
 		// Decide which offers will land before mutating anything, so the
 		// journal records exactly the accepted subset ahead of the insert.
@@ -454,7 +455,8 @@ func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
 			sh.mu.Unlock()
 			continue
 		}
-		if err := sh.journalLocked(event{Kind: evSubmit, At: now, Offers: batch}); err != nil {
+		rc, err := sh.journalLocked(w, event{Kind: evSubmit, At: now, Offers: batch})
+		if err != nil {
 			// Nothing was applied to this shard; surface the journal
 			// failure per offer so retry paths resubmit the subset.
 			for _, p := range accepted {
@@ -464,7 +466,7 @@ func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
 			continue
 		}
 		for _, p := range accepted {
-			sh.insertLocked(&Record{Offer: p.f, State: Offered, SubmittedAt: now})
+			sh.insertLocked(rc, &Record{Offer: p.f, State: Offered, SubmittedAt: now})
 			res.Accepted++
 		}
 		sh.mu.Unlock()
@@ -488,7 +490,7 @@ func (s *Store) Reject(id string) error {
 
 func (s *Store) decide(id string, to State) error {
 	sh := s.shardFor(id)
-	sh.mu.Lock()
+	w := sh.mu.Lock()
 	defer sh.mu.Unlock()
 	r, ok := sh.records[id]
 	if !ok {
@@ -499,16 +501,18 @@ func (s *Store) decide(id string, to State) error {
 	}
 	now := s.clock()
 	if to == Accepted && !r.Offer.AcceptanceTime.IsZero() && now.After(r.Offer.AcceptanceTime) {
-		if err := sh.journalLocked(event{Kind: evDecide, At: now, ID: id, To: Expired}); err != nil {
+		rc, err := sh.journalLocked(w, event{Kind: evDecide, At: now, ID: id, To: Expired})
+		if err != nil {
 			return err
 		}
-		sh.transitionLocked(r, Expired, now)
+		sh.transitionLocked(rc, r, Expired, now)
 		return fmt.Errorf("%w: acceptance deadline %v passed", ErrDeadline, r.Offer.AcceptanceTime)
 	}
-	if err := sh.journalLocked(event{Kind: evDecide, At: now, ID: id, To: to}); err != nil {
+	rc, err := sh.journalLocked(w, event{Kind: evDecide, At: now, ID: id, To: to})
+	if err != nil {
 		return err
 	}
-	sh.transitionLocked(r, to, now)
+	sh.transitionLocked(rc, r, to, now)
 	return nil
 }
 
@@ -516,7 +520,7 @@ func (s *Store) decide(id string, to State) error {
 // enforcing the assignment deadline and feasibility.
 func (s *Store) Assign(id string, start time.Time, energies []float64) (*flexoffer.Assignment, error) {
 	sh := s.shardFor(id)
-	sh.mu.Lock()
+	w := sh.mu.Lock()
 	defer sh.mu.Unlock()
 	r, ok := sh.records[id]
 	if !ok {
@@ -527,23 +531,25 @@ func (s *Store) Assign(id string, start time.Time, energies []float64) (*flexoff
 	}
 	now := s.clock()
 	if !r.Offer.AssignmentTime.IsZero() && now.After(r.Offer.AssignmentTime) {
-		if err := sh.journalLocked(event{Kind: evDecide, At: now, ID: id, To: Expired}); err != nil {
+		rc, err := sh.journalLocked(w, event{Kind: evDecide, At: now, ID: id, To: Expired})
+		if err != nil {
 			return nil, err
 		}
-		sh.transitionLocked(r, Expired, now)
+		sh.transitionLocked(rc, r, Expired, now)
 		return nil, fmt.Errorf("%w: assignment deadline %v passed", ErrDeadline, r.Offer.AssignmentTime)
 	}
 	asg, err := r.Offer.Assign(start, energies)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if err := sh.journalLocked(event{Kind: evAssign, At: now, ID: id, Start: start, Energies: energies}); err != nil {
+	rc, err := sh.journalLocked(w, event{Kind: evAssign, At: now, ID: id, Start: start, Energies: energies})
+	if err != nil {
 		return nil, err
 	}
 	// The assignment is attached before the transition so the published
 	// EventAssigned carries the schedule.
 	r.Assignment = asg
-	sh.transitionLocked(r, Assigned, now)
+	sh.transitionLocked(rc, r, Assigned, now)
 	return asg, nil
 }
 
@@ -628,9 +634,9 @@ func (s *Store) List(states ...State) []Record {
 func (s *Store) ExpireOverdue() (int, error) {
 	total := 0
 	for _, sh := range s.shards {
-		sh.mu.Lock()
+		w := sh.mu.Lock()
 		now := s.clock()
-		due := sh.overdueLocked(now)
+		due := sh.overdueLocked(w, now)
 		if len(due) == 0 {
 			sh.mu.Unlock()
 			continue
@@ -639,13 +645,14 @@ func (s *Store) ExpireOverdue() (int, error) {
 		for i, e := range due {
 			ids[i] = e.id
 		}
-		if err := sh.journalLocked(event{Kind: evExpire, At: now, IDs: ids}); err != nil {
-			sh.rollbackLocked(due)
+		rc, err := sh.journalLocked(w, event{Kind: evExpire, At: now, IDs: ids})
+		if err != nil {
+			sh.rollbackLocked(w, due)
 			sh.mu.Unlock()
 			return total, err
 		}
 		for _, id := range ids {
-			sh.transitionLocked(sh.records[id], Expired, now)
+			sh.transitionLocked(rc, sh.records[id], Expired, now)
 		}
 		total += len(ids)
 		sh.mu.Unlock()

@@ -31,7 +31,10 @@ func runOnceRecover(svc *Service) (summary RunSummary, err error, panicked bool)
 // the crash hit, but never acked) may appear on top —
 // acked ⊆ recovered ⊆ acked+1. The service guarantees at most one
 // decision per round here because every applied assignment leaves the
-// aggregator before the next round.
+// aggregator before the next round. After every round that returns, the
+// store must hold exactly the members of the acknowledged decisions: a
+// decision applied before its ledger append fails would show up here as
+// an assignment nobody acknowledged.
 func TestCrashSchedulerLedger(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
@@ -47,7 +50,7 @@ func TestCrashSchedulerLedger(t *testing.T) {
 			clock := &svcClock{now: svcT0}
 			store := market.NewShardedStore(2, clock.Now)
 
-			acked := 0
+			acked, members := 0, 0
 			svc, err := New(Config{
 				Store:      store,
 				Supply:     FlatSupply(10),
@@ -67,14 +70,17 @@ func TestCrashSchedulerLedger(t *testing.T) {
 					if panicked {
 						break
 					}
-					if err != nil {
-						if !errors.Is(err, ErrLedger) {
-							t.Fatalf("round %d failed outside the ledger: %v", round, err)
-						}
-						acked += summary.Decisions
-						break
+					if err != nil && !errors.Is(err, ErrLedger) {
+						t.Fatalf("round %d failed outside the ledger: %v", round, err)
 					}
 					acked += summary.Decisions
+					members += summary.Members
+					if got := store.Stats().Assigned; got != members {
+						t.Fatalf("round %d: store holds %d assignments, acknowledged decisions carry %d members", round, got, members)
+					}
+					if err != nil {
+						break
+					}
 				}
 			}
 

@@ -234,16 +234,40 @@ func (s *Service) AggStats() agg.IncrementalStats {
 	return s.inc.Stats()
 }
 
-// journalDecision appends one decision record to the write-ahead ledger.
-// It no-ops when the service runs without durability, so the write-ahead
-// order is unconditional at the call site: a decision is either durable or
-// durability is off, never silently skipped — which is what lets the
-// journalcheck analyzer prove every store mutation sits behind it.
-func (s *Service) journalDecision(dec *Decision) error {
-	if s.ledger == nil {
-		return nil
+// journalDecision appends one decision record to the write-ahead ledger
+// and returns the receipt that applying it needs. Without a ledger it
+// appends nothing and still returns the receipt, so the write-ahead order
+// is unconditional at the call site: a decision is either durable or
+// durability is off, never silently skipped.
+func (s *Service) journalDecision(dec *Decision) (ledgered, error) {
+	if s.ledger != nil {
+		if err := appendRecord(s.ledger, ledgerRecord{Kind: recordDecision, Decision: dec}); err != nil {
+			return ledgered{}, err
+		}
 	}
-	return appendRecord(s.ledger, ledgerRecord{Kind: recordDecision, Decision: dec})
+	return ledgered{dec: dec}, nil
+}
+
+// ledgered is the receipt for a decision the ledger holds: only
+// journalDecision returns one. Applying a decision is a method on it, so
+// applying one that was not journaled first does not compile.
+type ledgered struct {
+	dec *Decision
+}
+
+// apply assigns the decision's members in the store and counts the ones
+// it refused (an offer expired or was assigned between drain and apply).
+// It is the only caller of Store.Assign in this package.
+func (l ledgered) apply(store *market.Store, log *obs.Logger) (applied, failed int) {
+	for _, m := range l.dec.Members {
+		if _, err := store.Assign(m.ID, m.Start, m.Energies); err != nil {
+			failed++
+			log.Debug("assignment apply failed", "offer", m.ID, "err", err)
+			continue
+		}
+		applied++
+	}
+	return applied, failed
 }
 
 // journalRun appends the round-summary record to the write-ahead ledger,
@@ -343,23 +367,17 @@ func (s *Service) RunOnce() (RunSummary, error) {
 		for i, m := range members {
 			dec.Members[i] = MemberAssignment{ID: m.Offer.ID, Start: m.Start, Energies: m.Energies}
 		}
-		if err := s.journalDecision(&dec); err != nil {
+		rc, err := s.journalDecision(&dec)
+		if err != nil {
 			s.mu.Lock()
 			s.ledgerErrs++
 			s.mu.Unlock()
 			return summary, fmt.Errorf("%w: %v", ErrLedger, err)
 		}
-		applied := 0
-		for _, m := range dec.Members {
-			if _, err := s.cfg.Store.Assign(m.ID, m.Start, m.Energies); err != nil {
-				summary.ApplyErrors++
-				s.cfg.Logger.Debug("assignment apply failed", "offer", m.ID, "err", err)
-				continue
-			}
-			applied++
-		}
+		applied, failed := rc.apply(s.cfg.Store, s.cfg.Logger)
 		summary.Decisions++
 		summary.Members += applied
+		summary.ApplyErrors += failed
 		summary.AssignedKWh += dec.AssignedKWh()
 	}
 	summary.DurationSeconds = time.Since(began).Seconds()

@@ -6,46 +6,30 @@ package market
 
 import "sync"
 
-// flowShard is the durable slice of the market: records and the sequence
-// stream, both journaled through the injected append hook.
-type flowShard struct {
+// shard is the durable slice of the market: records journaled through
+// the injected append hook.
+type shard struct {
 	mu      sync.Mutex
-	seq     int
 	records map[string]int
-	subs    []chan int
 	journal func(op string) error
 }
 
 // journalLocked appends op to the journal; callers hold the write lock.
-func (sh *flowShard) journalLocked(op string) error {
+func (sh *shard) journalLocked(op string) error {
 	return sh.journal(op)
 }
 
-// insertLocked stores id under the write lock and publishes the change.
-//
-//flexvet:journaled journalLocked
-func (sh *flowShard) insertLocked(id string) {
+// insertLocked stores id under the write lock.
+func (sh *shard) insertLocked(id string) {
 	sh.records[id] = len(sh.records)
-	sh.publishLocked()
-}
-
-// publishLocked fans the next sequence number out to the subscribers.
-func (sh *flowShard) publishLocked() {
-	sh.seq++
-	for _, c := range sh.subs {
-		select {
-		case c <- sh.seq:
-		default:
-		}
-	}
 }
 
 // submit is the well-behaved write path: lock, journal, mutate, unlock.
-// The annotation below is missing its gate argument, so the driver must
-// surface the malformed directive instead of silently ignoring it.
+// The directive below misspells its verb, so the driver must surface it
+// instead of silently ignoring it.
 //
-//flexvet:journaled
-func (sh *flowShard) submit(id string) error {
+//flexvet:hotpth
+func (sh *shard) submit(id string) error {
 	sh.mu.Lock()
 	if err := sh.journalLocked("insert " + id); err != nil {
 		sh.mu.Unlock()

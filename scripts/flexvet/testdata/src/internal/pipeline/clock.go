@@ -6,7 +6,7 @@ package pipeline
 import "time"
 
 // stamp reads the wall clock in a replayable path — the seeded clockcheck
-// violation scripts/verify.sh's lint gate refuses to ship.
+// violation `make lint` refuses to ship.
 func stamp() time.Time {
 	return time.Now()
 }
