@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint bench bench-smoke benchdiff fuzz fuzz-smoke soak soak-overload crash sched-crash verify
+.PHONY: build test race vet fmt-check lint bench bench-smoke benchcmp fuzz fuzz-smoke soak soak-overload crash sched-crash verify
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,7 @@ vet:
 
 # Fail when any tracked Go file is not gofmt-clean.
 fmt-check:
-	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Run the full flexvet suite — the domain invariants go vet cannot know
@@ -41,12 +41,13 @@ bench:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# Regression gate for the committed load-test baseline: run a short
-# flexload pass against a freshly built sharded mirabeld and fail when any
-# op's p95 (or total throughput) regresses >10% vs BENCH_6.json
-# (BENCHDIFF_* environment variables tune baseline/duration/shards).
-benchdiff:
-	sh scripts/benchdiff.sh
+# The one perf gate: flexbench (BENCHMARK.json) on BASE and on the working
+# tree in five alternating pairs per workload. Fails on a failed check, a
+# higher failed share, or a gated metric worse than its bound
+# (docs/TESTING.md). About a quarter of an hour.
+BASE ?= HEAD
+benchcmp:
+	$(GO) run ./scripts/benchcmp $(BASE)
 
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzParamsValidate -fuzztime 30s ./internal/core

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	flexload -base http://127.0.0.1:7654 -c 8 -duration 30s -seed 42 -report BENCH_4.json
+//	flexload -base http://127.0.0.1:7654 -c 8 -duration 30s -seed 42 -report report.json
 //
 // Offer construction is seeded: worker w derives its generator from
 // -seed+w, so two runs with the same seed and concurrency submit the
@@ -37,8 +37,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,8 +191,9 @@ type OpStats struct {
 	P99Ms  float64 `json:"p99_ms"`
 }
 
-// Report is flexload's machine-readable result — the schema committed as
-// BENCH_4.json and tracked across PRs.
+// Report is flexload's machine-readable result: per-operation latency and
+// errors, throughput, the offer lifecycle totals and, where the target
+// has them, the overload and KPI blocks.
 type Report struct {
 	BaseURL             string             `json:"base_url"`
 	Seed                int64              `json:"seed"`
@@ -207,11 +206,6 @@ type Report struct {
 	OffersSubmitted     uint64             `json:"offers_submitted"`
 	OffersAccepted      uint64             `json:"offers_accepted"`
 	OffersAssigned      uint64             `json:"offers_assigned"`
-	// Shards is the server's per-shard contention view at the end of the
-	// run, scraped from /metrics?format=json. Empty when the target does
-	// not expose the market_shard_* families (plain market.Server without
-	// a metrics endpoint, or a pre-sharding daemon).
-	Shards []ShardReport `json:"shards,omitempty"`
 	// Overload is the shed accounting of an -overload run; nil otherwise.
 	Overload *OverloadReport `json:"overload,omitempty"`
 	// KPI is the server's flexibility KPI report at the end of the run,
@@ -237,15 +231,6 @@ type Report struct {
 type KPIBlock struct {
 	Report               kpi.Report `json:"report"`
 	ReconciliationErrors []string   `json:"reconciliation_errors"`
-}
-
-// ShardReport is one shard's contention counters in the report.
-type ShardReport struct {
-	Shard           int     `json:"shard"`
-	Offers          float64 `json:"offers"`
-	LockWaitSeconds float64 `json:"lock_wait_seconds"`
-	LockHoldSeconds float64 `json:"lock_hold_seconds"`
-	QueueDepth      float64 `json:"queue_depth"`
 }
 
 // opNames are the operations the generator performs: the worker
@@ -388,13 +373,7 @@ func run(ctx context.Context, cfg config) (Report, error) {
 		rep.ThroughputOpsPerSec = float64(rep.TotalOps) / elapsed.Seconds()
 	}
 	// Best effort: soak tests drive bare market.Server instances that have
-	// no /metrics route, and older daemons have no shard families — either
-	// way the report simply omits the shard section.
-	if shards, err := fetchShardStats(httpClient, cfg.BaseURL); err == nil {
-		rep.Shards = shards
-	}
-	// Same best-effort contract for the KPI report: targets without a /kpi
-	// route simply produce a report without the block.
+	// no /kpi route, and those produce a report without the block.
 	if kpiRep, err := fetchKPI(httpClient, cfg.BaseURL); err == nil {
 		rep.KPI = reconcileKPI(kpiRep, cfg, rep)
 	}
@@ -471,59 +450,6 @@ func postScheduleRun(ctx context.Context, httpClient *http.Client, baseURL strin
 	// Drain so the connection is reused.
 	_, err = io.Copy(io.Discard, resp.Body)
 	return err
-}
-
-// fetchShardStats scrapes the target's /metrics JSON exposition and
-// assembles the per-shard contention section of the report.
-func fetchShardStats(httpClient *http.Client, baseURL string) ([]ShardReport, error) {
-	resp, err := httpClient.Get(baseURL + "/metrics?format=json")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
-	}
-	type labelled struct {
-		Labels map[string]string `json:"labels"`
-		Value  float64           `json:"value"`
-	}
-	var families map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&families); err != nil {
-		return nil, err
-	}
-	byShard := map[int]*ShardReport{}
-	collect := func(family string, set func(*ShardReport, float64)) {
-		var vals []labelled
-		if raw, ok := families[family]; !ok || json.Unmarshal(raw, &vals) != nil {
-			return
-		}
-		for _, v := range vals {
-			k, err := strconv.Atoi(v.Labels["shard"])
-			if err != nil {
-				continue
-			}
-			sr, ok := byShard[k]
-			if !ok {
-				sr = &ShardReport{Shard: k}
-				byShard[k] = sr
-			}
-			set(sr, v.Value)
-		}
-	}
-	collect("market_shard_offers", func(s *ShardReport, v float64) { s.Offers = v })
-	collect("market_shard_lock_wait_seconds_total", func(s *ShardReport, v float64) { s.LockWaitSeconds = v })
-	collect("market_shard_lock_hold_seconds_total", func(s *ShardReport, v float64) { s.LockHoldSeconds = v })
-	collect("market_shard_lock_queue_depth", func(s *ShardReport, v float64) { s.QueueDepth = v })
-	if len(byShard) == 0 {
-		return nil, nil
-	}
-	out := make([]ShardReport, 0, len(byShard))
-	for _, sr := range byShard {
-		out = append(out, *sr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
-	return out, nil
 }
 
 // worker is one closed-loop driver: it owns a seeded offer generator and

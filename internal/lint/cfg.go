@@ -8,8 +8,6 @@ import (
 // Block is one basic block of a control-flow graph: statements and
 // controlling expressions that execute in sequence, with a single entry.
 type Block struct {
-	// Index is the block's position in CFG.Blocks (the entry block is 0).
-	Index int
 	// Nodes are the statements and control expressions of the block, in
 	// execution order. Conditions and loop headers appear as bare
 	// expressions; whole statements appear as statements. Function-literal
@@ -17,39 +15,31 @@ type Block struct {
 	Nodes []ast.Node
 	// Succs are the possible successors.
 	Succs []*Block
-	// Preds are the predecessors.
-	Preds []*Block
 }
 
-// CFG is the intra-procedural control-flow graph of one function body with
-// dominator information. Build one with NewCFG, or Shared.CFGOf which
-// caches per declaration. errflow walks it forward from an error's
-// binding; Dominates answers whether one statement executes before another
-// on every path. goto is approximated as an edge to the exit; a call to
-// panic terminates its block.
+// CFG is the intra-procedural control-flow graph of one function body.
+// Build one with NewCFG, or Shared.CFGOf which caches per declaration.
+// errflow walks it forward along Succs from an error's binding. goto is
+// approximated as an edge to the exit; a call to panic terminates its
+// block.
 type CFG struct {
 	// Entry is the function entry block.
 	Entry *Block
 	// Exit is the synthetic exit block reached by every return, fall-off
 	// and (approximated) goto.
 	Exit *Block
-	// Blocks lists every block: entry first, exit last. Blocks left without
-	// predecessors are unreachable code.
+	// Blocks lists every block: entry first, exit last. Blocks no Succs
+	// path from Entry reaches are unreachable code.
 	Blocks []*Block
 	// Defers collects the defer statements registered anywhere in the body,
 	// in source order; they run at every exit.
 	Defers []*ast.DeferStmt
-
-	// idom[i] is the Blocks index of block i's immediate dominator; the
-	// entry is its own idom, unreachable blocks hold -1.
-	idom []int
 }
 
-// NewCFG builds the control-flow graph of one function body and computes
-// its dominator tree.
+// NewCFG builds the control-flow graph of one function body.
 func NewCFG(body *ast.BlockStmt) *CFG {
 	cfg := &CFG{}
-	entry := &Block{Index: 0}
+	entry := &Block{}
 	cfg.Entry = entry
 	cfg.Blocks = []*Block{entry}
 	cfg.Exit = &Block{}
@@ -58,43 +48,8 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 	if b.cur != nil {
 		edge(b.cur, cfg.Exit)
 	}
-	cfg.Exit.Index = len(cfg.Blocks)
 	cfg.Blocks = append(cfg.Blocks, cfg.Exit)
-	cfg.computeDominators()
 	return cfg
-}
-
-// Dominates reports whether, on every execution path from the function
-// entry to the statement containing b, the statement containing a executes
-// first. Within one basic block the node order decides; across blocks the
-// dominator tree does. Positions not covered by the graph answer false;
-// an unreachable b is vacuously dominated (no path reaches it at all).
-func (c *CFG) Dominates(a, b token.Pos) bool {
-	ba, ia := c.nodeAt(a)
-	bb, ib := c.nodeAt(b)
-	if ba == nil || bb == nil {
-		return false
-	}
-	if ba == bb {
-		return ia <= ib
-	}
-	if c.idom[bb.Index] == -1 {
-		return true // b is dead code; no path reaches it
-	}
-	if c.idom[ba.Index] == -1 {
-		return false // a is dead code; it executes on no path
-	}
-	// Strict block domination: walk b's dominator chain towards the entry.
-	for x := bb.Index; ; {
-		parent := c.idom[x]
-		if parent == ba.Index {
-			return true
-		}
-		if parent == x { // reached the entry
-			return false
-		}
-		x = parent
-	}
 }
 
 // nodeAt locates the block and node index covering pos. The builder keeps
@@ -108,72 +63,6 @@ func (c *CFG) nodeAt(pos token.Pos) (*Block, int) {
 		}
 	}
 	return nil, -1
-}
-
-// computeDominators runs the iterative dominator algorithm (Cooper, Harvey,
-// Kennedy) over a reverse post-order of the reachable blocks.
-func (c *CFG) computeDominators() {
-	n := len(c.Blocks)
-	order := make([]*Block, 0, n)
-	seen := make([]bool, n)
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				dfs(s)
-			}
-		}
-		order = append(order, b)
-	}
-	dfs(c.Entry)
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	rpo := make([]int, n)
-	for i := range rpo {
-		rpo[i] = -1
-	}
-	for i, b := range order {
-		rpo[b.Index] = i
-	}
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[c.Entry.Index] = c.Entry.Index
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpo[a] > rpo[b] {
-				a = idom[a]
-			}
-			for rpo[b] > rpo[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order[1:] {
-			newIdom := -1
-			for _, p := range b.Preds {
-				if idom[p.Index] == -1 {
-					continue // unreachable or not yet processed
-				}
-				if newIdom == -1 {
-					newIdom = p.Index
-				} else {
-					newIdom = intersect(p.Index, newIdom)
-				}
-			}
-			if newIdom != -1 && idom[b.Index] != newIdom {
-				idom[b.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-	c.idom = idom
 }
 
 // cfgFrame is one enclosing breakable construct during the build: a loop
@@ -198,7 +87,6 @@ type cfgBuilder struct {
 
 func edge(from, to *Block) {
 	from.Succs = append(from.Succs, to)
-	to.Preds = append(to.Preds, from)
 }
 
 // block returns the current block, starting a fresh (unreachable) one after
@@ -211,7 +99,7 @@ func (b *cfgBuilder) block() *Block {
 }
 
 func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.cfg.Blocks)}
+	blk := &Block{}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }
@@ -378,7 +266,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.jump(done)
 		}
 		b.frames = b.frames[:len(b.frames)-1]
-		// A case-less select blocks forever; done then has no preds.
+		// A case-less select blocks forever; then no edge reaches done.
 		b.cur = done
 	case *ast.BranchStmt:
 		b.add(s)

@@ -4,156 +4,32 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"strings"
 	"testing"
 )
 
-// parseBody wraps src in a function, parses it, and returns the body's CFG
-// together with the file source for position lookups.
-func parseBody(t *testing.T, src string) (*CFG, string, *token.FileSet) {
+// parseBody wraps src in a function, parses it, and returns the body's CFG.
+func parseBody(t *testing.T, src string) *CFG {
 	t.Helper()
 	file := "package p\n\nfunc f() {\n" + src + "\n}\n"
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "cfg_test.go", file, parser.ParseComments)
+	f, err := parser.ParseFile(token.NewFileSet(), "cfg_test.go", file, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v\nsource:\n%s", err, file)
 	}
-	fd := f.Decls[0].(*ast.FuncDecl)
-	return NewCFG(fd.Body), file, fset
-}
-
-// posOf returns the position of the first occurrence of needle in the file.
-func posOf(t *testing.T, file string, fset *token.FileSet, needle string) token.Pos {
-	t.Helper()
-	idx := strings.Index(file, needle)
-	if idx < 0 {
-		t.Fatalf("needle %q not found in source", needle)
-	}
-	// The single parsed file starts at Base(); offsets map 1:1.
-	return token.Pos(fset.File(token.Pos(1)).Base() + idx)
-}
-
-func TestCFGDominates(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		a, b string // source needles
-		want bool
-	}{
-		{
-			name: "straight line",
-			src:  "x := 1\ny := 2\n_ = x\n_ = y",
-			a:    "x := 1", b: "y := 2", want: true,
-		},
-		{
-			name: "straight line reversed",
-			src:  "x := 1\ny := 2\n_ = x\n_ = y",
-			a:    "y := 2", b: "x := 1", want: false,
-		},
-		{
-			name: "one-arm if does not dominate join",
-			src:  "c := true\nif c {\n\tprintln(\"arm\")\n}\nprintln(\"join\")",
-			a:    `println("arm")`, b: `println("join")`, want: false,
-		},
-		{
-			name: "cond dominates both arms and join",
-			src:  "c := true\nif c {\n\tprintln(\"arm\")\n} else {\n\tprintln(\"other\")\n}\nprintln(\"join\")",
-			a:    "c := true", b: `println("join")`, want: true,
-		},
-		{
-			name: "neither arm dominates join",
-			src:  "c := true\nif c {\n\tprintln(\"arm\")\n} else {\n\tprintln(\"other\")\n}\nprintln(\"join\")",
-			a:    `println("other")`, b: `println("join")`, want: false,
-		},
-		{
-			name: "early return leaves else arm dominating the tail",
-			src:  "c := true\nif c {\n\treturn\n}\nprintln(\"tail\")",
-			a:    "c := true", b: `println("tail")`, want: true,
-		},
-		{
-			name: "panic-terminated arm leaves the other dominating the join",
-			src:  "c := true\nif c {\n\tprintln(\"live\")\n} else {\n\tpanic(\"dead end\")\n}\nprintln(\"join\")",
-			a:    `println("live")`, b: `println("join")`, want: true,
-		},
-		{
-			name: "loop head dominates body",
-			src:  "for i := 0; i < 3; i++ {\n\tprintln(\"body\")\n}\nprintln(\"done\")",
-			a:    "i < 3", b: `println("body")`, want: true,
-		},
-		{
-			name: "loop body does not dominate done",
-			src:  "for i := 0; i < 3; i++ {\n\tprintln(\"body\")\n}\nprintln(\"done\")",
-			a:    `println("body")`, b: `println("done")`, want: false,
-		},
-		{
-			name: "statement before labeled break dominates the break target",
-			src:  "outer:\nfor {\n\tfor {\n\t\tprintln(\"inner\")\n\t\tbreak outer\n\t}\n}\nprintln(\"after\")",
-			a:    `println("inner")`, b: `println("after")`, want: true,
-		},
-		{
-			name: "labeled continue keeps outer loop body reachable from head",
-			src:  "outer:\nfor i := 0; i < 3; i++ {\n\tfor {\n\t\tcontinue outer\n\t}\n\tprintln(\"unreached\")\n}\nprintln(\"after\")",
-			a:    "i < 3", b: `println("after")`, want: true,
-		},
-		{
-			name: "range head dominates body",
-			src:  "xs := []int{1}\nfor _, x := range xs {\n\tprintln(x)\n}\nprintln(\"done\")",
-			a:    "_, x", b: "println(x)", want: true,
-		},
-		{
-			name: "type switch arm with return does not dominate the tail",
-			src:  "var v any = 1\nswitch v.(type) {\ncase int:\n\tprintln(\"int\")\n\treturn\ncase string:\n\tprintln(\"str\")\n}\nprintln(\"tail\")",
-			a:    `println("int")`, b: `println("tail")`, want: false,
-		},
-		{
-			name: "type switch subject dominates every arm",
-			src:  "var v any = 1\nswitch v.(type) {\ncase int:\n\tprintln(\"int\")\ncase string:\n\tprintln(\"str\")\n}\nprintln(\"tail\")",
-			a:    "var v any", b: `println("str")`, want: true,
-		},
-		{
-			name: "fallthrough links case bodies",
-			src:  "x := 1\nswitch x {\ncase 1:\n\tprintln(\"one\")\n\tfallthrough\ncase 2:\n\tprintln(\"two\")\n}\nprintln(\"tail\")",
-			a:    `println("one")`, b: `println("two")`, want: false,
-		},
-		{
-			name: "select arm with return does not dominate the tail",
-			src:  "ch := make(chan int, 1)\nselect {\ncase <-ch:\n\tprintln(\"got\")\n\treturn\ndefault:\n\tprintln(\"none\")\n}\nprintln(\"tail\")",
-			a:    `println("got")`, b: `println("tail")`, want: false,
-		},
-		{
-			name: "condless for with break dominates its own tail",
-			src:  "for {\n\tprintln(\"once\")\n\tbreak\n}\nprintln(\"after\")",
-			a:    `println("once")`, b: `println("after")`, want: true,
-		},
-		{
-			name: "statement after deferred unlock still dominated by earlier lock",
-			src:  "var mu, x = 1, 2\n_ = mu\ndefer println(\"unlock\")\nprintln(\"work\")\n_ = x",
-			a:    "var mu, x", b: `println("work")`, want: true,
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cfg, file, fset := parseBody(t, c.src)
-			a := posOf(t, file, fset, c.a)
-			b := posOf(t, file, fset, c.b)
-			if got := cfg.Dominates(a, b); got != c.want {
-				t.Errorf("Dominates(%q, %q) = %v, want %v\nsource:\n%s", c.a, c.b, got, c.want, file)
-			}
-		})
-	}
+	return NewCFG(f.Decls[0].(*ast.FuncDecl).Body)
 }
 
 func TestCFGRecordsDefers(t *testing.T) {
-	cfg, _, _ := parseBody(t, "defer println(\"a\")\nif true {\n\tdefer println(\"b\")\n}")
+	cfg := parseBody(t, "defer println(\"a\")\nif true {\n\tdefer println(\"b\")\n}")
 	if len(cfg.Defers) != 2 {
 		t.Errorf("expected 2 recorded defers, got %d", len(cfg.Defers))
 	}
 }
 
 func TestCFGExitReachable(t *testing.T) {
-	// Every block reachable from entry must reach exit through some path;
-	// in particular the builder must terminate on nested loops with branches.
-	cfg, _, _ := parseBody(t, `
+	// Every block reachable from entry must reach exit through Succs; in
+	// particular the builder must terminate on nested loops with branches
+	// and wire every break, continue and goto to a block.
+	cfg := parseBody(t, `
 for i := 0; i < 10; i++ {
 	switch {
 	case i == 1:
@@ -169,16 +45,25 @@ for i := 0; i < 10; i++ {
 }
 done:
 println("end")`)
-	if cfg.Exit == nil || len(cfg.Blocks) == 0 {
-		t.Fatalf("degenerate CFG: %+v", cfg)
-	}
-	// Dominator sanity: entry dominates every block's first node.
-	for _, b := range cfg.Blocks {
-		for _, n := range b.Nodes {
-			if !cfg.Dominates(cfg.Blocks[0].Nodes[0].Pos(), n.Pos()) {
-				// Entry's first node position dominates all reachable nodes.
-				t.Errorf("entry does not dominate node at %v", n.Pos())
+	reach := func(from *Block) map[*Block]bool {
+		seen := map[*Block]bool{from: true}
+		for queue := []*Block{from}; len(queue) > 0; queue = queue[1:] {
+			for _, s := range queue[0].Succs {
+				if !seen[s] {
+					seen[s] = true
+					queue = append(queue, s)
+				}
 			}
+		}
+		return seen
+	}
+	live := reach(cfg.Entry)
+	if len(live) != len(cfg.Blocks) {
+		t.Errorf("%d of %d blocks reachable from entry; the body has no dead code", len(live), len(cfg.Blocks))
+	}
+	for b := range live {
+		if !reach(b)[cfg.Exit] {
+			t.Errorf("exit not reachable from block with nodes %v", b.Nodes)
 		}
 	}
 }

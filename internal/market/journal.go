@@ -187,34 +187,6 @@ func (s *Store) marshalState() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// restoreState replaces the store's contents with a marshalState image,
-// splitting the records across the shards by ID hash.
-func (s *Store) restoreState(data []byte) error {
-	var snap storeSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return err
-	}
-	if err := snap.validate(); err != nil {
-		return err
-	}
-	order := make([][]string, len(s.shards))
-	for _, id := range snap.Order {
-		k := s.ShardIndex(id)
-		order[k] = append(order[k], id)
-	}
-	for k, sh := range s.shards {
-		w := sh.mu.Lock()
-		sh.order = order[k]
-		sh.records = make(map[string]*Record, len(order[k]))
-		for _, id := range order[k] {
-			sh.records[id] = snap.Records[id]
-		}
-		sh.rebuildIndexesLocked(w)
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
 // restoreShard replaces one shard's contents with a per-shard snapshot
 // image. Every record must route to shard k — a violation means the
 // snapshot was written under a different shard count.

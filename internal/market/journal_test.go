@@ -2,11 +2,13 @@ package market
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,17 +315,32 @@ func TestApplyEventRejectsCorruptEvents(t *testing.T) {
 	}
 }
 
-func TestRestoreStateRejectsInconsistentSnapshots(t *testing.T) {
-	s := NewStore(nil)
+func TestRestoreShardRejectsInconsistentSnapshots(t *testing.T) {
+	s := NewShardedStore(4, nil)
+	away := "offer-0" // an ID that routes to a shard other than 0
+	for i := 1; s.ShardIndex(away) == 0; i++ {
+		away = fmt.Sprintf("offer-%d", i)
+	}
+	offer, err := json.Marshal(testOffer(away))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, data := range map[string]string{
-		"not json":        "{",
-		"order too long":  `{"order":["a"],"records":{}}`,
-		"order missing":   `{"order":["a"],"records":{"b":{"offer":null,"state":"offered"}}}`,
-		"record no offer": `{"order":["a"],"records":{"a":{"offer":null,"state":"offered"}}}`,
+		"not json":                "{",
+		"order too long":          `{"order":["a"],"records":{}}`,
+		"order missing":           `{"order":["a"],"records":{"b":{"offer":null,"state":"offered"}}}`,
+		"record no offer":         `{"order":["a"],"records":{"a":{"offer":null,"state":"offered"}}}`,
+		"record of another shard": fmt.Sprintf(`{"order":[%q],"records":{%[1]q:{"offer":%s,"state":"offered"}}}`, away, offer),
 	} {
-		if err := s.restoreState([]byte(data)); err == nil {
-			t.Errorf("restoreState(%s) accepted a bad snapshot", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			err := s.restoreShard(0, []byte(data))
+			if err == nil {
+				t.Fatalf("restoreShard(0, %s) accepted a bad snapshot", data)
+			}
+			if name == "record of another shard" && !strings.Contains(err.Error(), "shard count changed?") {
+				t.Errorf("error %q does not name the shard-count change", err)
+			}
+		})
 	}
 }
 

@@ -114,8 +114,7 @@ func TestSeededViolationsText(t *testing.T) {
 
 // TestSeededFlowViolations pins the flow-analyzer fixture to its exact
 // finding set: one violation per file, nothing else. A regression in the
-// CFG, the dominator computation or any analyzer's matching shows up here
-// as a changed set.
+// CFG or any analyzer's matching shows up here as a changed set.
 func TestSeededFlowViolations(t *testing.T) {
 	code, out, errOut := runDriver(t, "-json", flowFixture)
 	if code != 1 {
