@@ -59,8 +59,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -114,7 +117,7 @@ func main() {
 	flag.StringVar(&cfg.seedDir, "seed-dir", "", "bulk-extract every CSV in this directory into the store at startup")
 	flag.StringVar(&cfg.seedApproach, "seed-approach", "peak", "extraction approach for -seed-dir (basic | peak | random)")
 	flag.Float64Var(&cfg.seedFlexPct, "seed-flexpct", 0.05, "flexible share for -seed-dir extraction")
-	flag.IntVar(&cfg.seedJobs, "seed-jobs", 0, "worker count for -seed-dir extraction (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.seedJobs, "seed-jobs", 0, "worker count for reading and extracting -seed-dir (0 = GOMAXPROCS)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.StringVar(&cfg.faultProfile, "fault-profile", "", `inject seeded faults into HTTP routes and seeding (e.g. "seed=42,error=0.1,latency=0.05:20ms"; empty disables)`)
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "journal every offer transition to this directory and recover state from it on boot (empty = in-memory only)")
@@ -411,7 +414,9 @@ func sweeper(ctx context.Context, store *market.Store, interval time.Duration, m
 // pipeline and submits the resulting offers into the store over the
 // resilient sink: transient submission failures retry with backoff, and
 // offers that exhaust the budget are dead-lettered and logged, never
-// silently dropped. faults, when non-nil, injects the -fault-profile
+// silently dropped. The files are read first, on the jobs workers, so an
+// unreadable file fails the seed before anything reaches the store or
+// its journal. faults, when non-nil, injects the -fault-profile
 // schedule between the retry layer and the store. telemetry and logger may
 // be nil; clock is the store's logical clock (nil for live), injected into
 // the pipeline so -clock replays report deterministic batch timings.
@@ -448,33 +453,16 @@ func seedStore(ctx context.Context, store *market.Store, telemetry *pipeline.Tel
 		return err
 	}
 
-	batch := make([]pipeline.Job, 0, len(files))
-	for _, path := range files {
-		// The per-file check keeps a large seed responsive to SIGINT: the
-		// extraction pipeline below is already cancellable, but without
-		// this a shutdown would still wait for every CSV to be read first.
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("seeding cancelled: %w", err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		series, err := timeseries.ReadCSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("read %s: %w", path, err)
-		}
-		batch = append(batch, pipeline.Job{
-			ID:     strings.TrimSuffix(filepath.Base(path), ".csv"),
-			Series: series,
-		})
+	series, err := readSeedFiles(ctx, files, jobs)
+	if err != nil {
+		return err
 	}
+	batch := make([]pipeline.Job, len(files))
 	seedOf := make(map[string]int64, len(batch))
-	for i, j := range batch {
-		seedOf[j.ID] = int64(i + 1)
+	for i, path := range files {
+		id := strings.TrimSuffix(filepath.Base(path), ".csv")
+		batch[i] = pipeline.Job{ID: id, Series: series[i]}
+		seedOf[id] = int64(i + 1)
 	}
 
 	storeSink := &pipeline.StoreSink{Store: store}
@@ -520,4 +508,62 @@ func seedStore(ctx context.Context, store *market.Store, telemetry *pipeline.Tel
 		return errors.New("every series failed extraction")
 	}
 	return nil
+}
+
+// readSeedFiles reads the CSV files on up to jobs goroutines (0 =
+// GOMAXPROCS) and returns their series indexed like files. It returns
+// only once every read is done, and its error names the first bad file in
+// files' order, so the outcome does not depend on the interleaving.
+func readSeedFiles(ctx context.Context, files []string, jobs int) ([]*timeseries.Series, error) {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
+	series := make([]*timeseries.Series, len(files))
+	errs := make([]error, len(files))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(jobs, len(files)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(files) {
+					return
+				}
+				// The per-file check keeps a large seed responsive to
+				// SIGINT: the extraction pipeline is already cancellable,
+				// but without this a shutdown would still wait for every
+				// CSV to be read first.
+				if err := ctx.Err(); err != nil {
+					errs[i] = fmt.Errorf("seeding cancelled: %w", err)
+					return
+				}
+				series[i], errs[i] = readSeedFile(files[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return series, nil
+}
+
+// readSeedFile reads one household CSV.
+func readSeedFile(path string) (*timeseries.Series, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	series, err := timeseries.ReadCSV(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("read %s: %w", path, err)
+	}
+	return series, nil
 }

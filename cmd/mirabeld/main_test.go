@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -137,6 +139,72 @@ func TestSeedStoreCancelled(t *testing.T) {
 	}
 	if got := len(store.List()); got != 0 {
 		t.Fatalf("cancelled seed still submitted %d offers", got)
+	}
+}
+
+// TestSeedStoreBadFileLeavesJournalUntouched seeds a journaled store from
+// a directory with two malformed CSVs among good ones: the seed fails,
+// names the first bad file in sorted order, and neither the store nor
+// its journal has taken anything.
+func TestSeedStoreBadFileLeavesJournalUntouched(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"h1", "h2", "h3", "h5", "h7", "h8"} {
+		writeHouseCSV(t, filepath.Join(dir, name+".csv"), 2)
+	}
+	for _, name := range []string{"h4", "h6"} {
+		if err := os.WriteFile(filepath.Join(dir, name+".csv"), []byte("timestamp,kwh\nnot-a-time,1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := seedStart.Add(-48 * time.Hour)
+	store, journal, err := market.OpenJournaled(market.JournalOptions{Dir: t.TempDir(), Clock: func() time.Time { return clock }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	err = seedStore(context.Background(), store, nil, nil, nil, nil, dir, "peak", 0.05, 4)
+	if err == nil || !strings.Contains(err.Error(), "h4.csv") || strings.Contains(err.Error(), "h6.csv") {
+		t.Fatalf("seed error = %v, want one naming h4.csv alone", err)
+	}
+	if n := len(store.List()); n != 0 {
+		t.Fatalf("failed seed left %d offers in the store", n)
+	}
+	if n := journal.Stats().WAL.Appends; n != 0 {
+		t.Fatalf("failed seed journaled %d events", n)
+	}
+}
+
+// TestSeedStoreJobsInvariant seeds the same directory with one and with
+// four workers: the stores must hold the same offers in the same states.
+func TestSeedStoreJobsInvariant(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"a", "b", "c", "d", "e", "f", "g"} {
+		writeHouseCSV(t, filepath.Join(dir, name+".csv"), 3)
+	}
+	type offer struct {
+		id     string
+		state  market.State
+		energy float64
+	}
+	seed := func(jobs int) []offer {
+		clock := seedStart.Add(-48 * time.Hour)
+		store := market.NewStore(func() time.Time { return clock })
+		if err := seedStore(context.Background(), store, nil, nil, nil, nil, dir, "peak", 0.05, jobs); err != nil {
+			t.Fatal(err)
+		}
+		var out []offer
+		for _, r := range store.List() {
+			out = append(out, offer{r.Offer.ID, r.State, r.Offer.TotalAvgEnergy()})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+		return out
+	}
+	one, four := seed(1), seed(4)
+	if len(one) == 0 {
+		t.Fatal("seeding left the store empty")
+	}
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("jobs 1 and jobs 4 seeded different stores:\n%v\n%v", one, four)
 	}
 }
 

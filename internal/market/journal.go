@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,6 +52,48 @@ type event struct {
 	Energies []float64 `json:"energies,omitempty"`
 	// IDs lists the offers expired by an evExpire sweep.
 	IDs []string `json:"ids,omitempty"`
+
+	// offersRaw holds, for an evSubmit from Submit or SubmitBatch, each
+	// offer's JSON (marshalOffer) in Offers' order, so that encode splices
+	// the bytes in instead of encoding every offer again.
+	offersRaw []json.RawMessage
+}
+
+// encode returns the event's journal payload: exactly the bytes of
+// json.Marshal(ev), which replay decodes. A submit event whose offers all
+// come encoded is assembled by hand from those bytes, the way
+// Record.appendJSON assembles a record. Passing them to json.Marshal as
+// json.RawMessage would not save the work, because encoding/json
+// re-scans every raw value it writes.
+func (ev event) encode() ([]byte, error) {
+	if ev.offersRaw == nil || slices.ContainsFunc(ev.offersRaw, func(raw json.RawMessage) bool { return raw == nil }) {
+		return json.Marshal(ev)
+	}
+	const (
+		head   = `{"kind":"submit","at":`
+		offers = `,"offers":[`
+		// ID, To, Energies and IDs are empty and omitted; Start is the
+		// zero time, which omitempty does not omit.
+		tail = `],"start":"0001-01-01T00:00:00Z"}`
+	)
+	at, err := ev.At.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	n := len(head) + len(at) + len(offers) + len(tail)
+	for _, raw := range ev.offersRaw {
+		n += len(raw) + 1
+	}
+	buf := append(make([]byte, 0, n), head...)
+	buf = append(buf, at...)
+	buf = append(buf, offers...)
+	for i, raw := range ev.offersRaw {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, raw...)
+	}
+	return append(buf, tail...), nil
 }
 
 // applyEvent replays one journaled event onto the store, bypassing clock
@@ -520,7 +563,7 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 // shard's write lock held, so each stream's append order is exactly its
 // shard's mutation order.
 func (j *Journal) appendShard(k int, ev event) error {
-	payload, err := json.Marshal(ev)
+	payload, err := ev.encode()
 	if err != nil {
 		return fmt.Errorf("encode event: %v", err)
 	}

@@ -1,12 +1,15 @@
 package market
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/flexoffer"
+	"repro/internal/wal"
 )
 
 // wireAssignment mirrors the trimmed assignment inside a record's wire
@@ -148,5 +151,101 @@ func TestRecordMarshalMatchesDefaultEncoding(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("page: hand-built marshal diverges from default encoding\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestSubmitJournalBytesMatchDefaultEncoding reads back every payload
+// Submit and SubmitBatch journaled on a 4-shard store and pins each, byte
+// for byte, to json.Marshal of the same event. The IDs hold characters
+// encoding/json HTML-escapes, and the clock has a non-UTC offset and
+// nanoseconds. This equality is what lets a journal written with
+// json.Marshal recover under the hand-assembled encoding, and the
+// reverse.
+func TestSubmitJournalBytesMatchDefaultEncoding(t *testing.T) {
+	now := time.Date(2012, 6, 3, 10, 4, 5, 123456789, time.FixedZone("CEST", 2*60*60))
+	s, j, err := OpenJournaled(JournalOptions{Dir: t.TempDir(), Shards: 4, Policy: wal.SyncNever, Clock: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	offer := func(i int) *flexoffer.FlexOffer {
+		f := fuzzOffer(fmt.Sprintf("<house&%d>/peak-%04d", i, i), now, 24*time.Hour, 1+i%3)
+		f.ConsumerID = fmt.Sprintf("<house&%d>", i)
+		return f
+	}
+	single := offer(0)
+	if err := s.Submit(single); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	batch := flexoffer.Set{offer(0)} // a duplicate: journaled by Submit only
+	for i := 1; i <= 12; i++ {
+		batch = append(batch, offer(i))
+	}
+	if res := s.SubmitBatch(batch); res.Accepted != 12 || res.Rejected() != 1 {
+		t.Fatalf("SubmitBatch accepted %d and rejected %d, want 12 and 1", res.Accepted, res.Rejected())
+	}
+
+	// The events each shard's stream must hold, in order: Submit's, then
+	// the batch's subset for that shard in submission order.
+	want := make([][]event, s.ShardCount())
+	k := s.ShardIndex(single.ID)
+	want[k] = append(want[k], event{Kind: evSubmit, At: now, Offers: flexoffer.Set{single}})
+	byShard := make([]flexoffer.Set, s.ShardCount())
+	for _, f := range batch[1:] {
+		byShard[s.ShardIndex(f.ID)] = append(byShard[s.ShardIndex(f.ID)], f)
+	}
+	for k, set := range byShard {
+		if len(set) > 0 {
+			want[k] = append(want[k], event{Kind: evSubmit, At: now, Offers: set})
+		}
+	}
+	for k, js := range j.shards {
+		var got [][]byte
+		if err := js.log.ReplayFrom(0, func(_ uint64, payload []byte) error {
+			got = append(got, bytes.Clone(payload))
+			return nil
+		}); err != nil {
+			t.Fatalf("shard %d replay: %v", k, err)
+		}
+		if len(got) != len(want[k]) {
+			t.Fatalf("shard %d journaled %d events, want %d", k, len(got), len(want[k]))
+		}
+		for i, ev := range want[k] {
+			exp, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[i], exp) {
+				t.Errorf("shard %d event %d:\n got %s\nwant %s", k, i, got[i], exp)
+			}
+		}
+	}
+	if raw, _ := json.Marshal(single); !bytes.Contains(raw, []byte(`\u003chouse\u0026`)) {
+		t.Fatal("the IDs no longer exercise encoding/json's HTML escaping")
+	}
+}
+
+// BenchmarkSubmitBatchJournaled submits one seed file's worth of offers,
+// 28 eight-slice offers, into a 4-shard journal that does not fsync: the
+// encoding and journaling cost of mirabeld's -seed-dir path per series.
+func BenchmarkSubmitBatchJournaled(b *testing.B) {
+	now := time.Date(2012, 6, 3, 0, 0, 0, 0, time.UTC)
+	s, j, err := OpenJournaled(JournalOptions{Dir: b.TempDir(), Shards: 4, Policy: wal.SyncNever, Clock: func() time.Time { return now }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	sets := make([]flexoffer.Set, b.N)
+	for i := range sets {
+		for k := 0; k < 28; k++ {
+			sets[i] = append(sets[i], fuzzOffer(fmt.Sprintf("house-%06d/peak-%04d", i, k), now, 24*time.Hour, 8))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, set := range sets {
+		if res := s.SubmitBatch(set); res.Accepted != len(set) {
+			b.Fatal(res.FirstErr())
+		}
 	}
 }

@@ -195,6 +195,8 @@ func (sh *shard) journalLocked(_ writeLocked, ev event) (journaled, error) {
 }
 
 // insertLocked adds a freshly submitted record and maintains every index.
+// It keeps the record's offerRaw when the submitter encoded the offer, and
+// encodes it otherwise (replay).
 func (sh *shard) insertLocked(rc journaled, f *Record) {
 	id := f.Offer.ID
 	if f.offerRaw == nil {

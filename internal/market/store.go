@@ -120,12 +120,13 @@ type Record struct {
 	DecidedAt   time.Time             `json:"decided_at,omitempty"`
 	Assignment  *flexoffer.Assignment `json:"assignment,omitempty"`
 
-	// offerRaw caches the offer's JSON, marshaled once at insert. The
-	// offer is immutable for the record's lifetime while listings
-	// re-encode it on every page, so the cache turns the dominant cost of
-	// a 100-record page from reflection into a memcpy. Nil (records
-	// restored from a snapshot, hand-built literals) falls back to a
-	// fresh marshal.
+	// offerRaw caches the offer's JSON. Submit and SubmitBatch encode it
+	// once, outside the shard lock, and journal the same bytes in the
+	// submit event; replay encodes it at insert. The offer is immutable
+	// for the record's lifetime while listings re-encode it on every
+	// page, so the cache turns the dominant cost of a 100-record page
+	// from reflection into a memcpy. Nil (hand-built literals, an offer
+	// that does not encode) falls back to a fresh marshal.
 	offerRaw json.RawMessage
 }
 
@@ -307,6 +308,8 @@ func (s *Store) Submit(f *flexoffer.FlexOffer) error {
 	if f.ID == "" {
 		return fmt.Errorf("%w: empty offer id", ErrBadRequest)
 	}
+	offer := f.Clone()
+	raw := marshalOffer(offer)
 	sh := s.shardFor(f.ID)
 	w := sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -317,13 +320,24 @@ func (s *Store) Submit(f *flexoffer.FlexOffer) error {
 	if _, dup := sh.records[f.ID]; dup {
 		return fmt.Errorf("%w: %s", ErrDuplicate, f.ID)
 	}
-	offer := f.Clone()
-	rc, err := sh.journalLocked(w, event{Kind: evSubmit, At: now, Offers: flexoffer.Set{offer}})
+	rc, err := sh.journalLocked(w, event{Kind: evSubmit, At: now, Offers: flexoffer.Set{offer}, offersRaw: []json.RawMessage{raw}})
 	if err != nil {
 		return err
 	}
-	sh.insertLocked(rc, &Record{Offer: offer, State: Offered, SubmittedAt: now})
+	sh.insertLocked(rc, &Record{Offer: offer, State: Offered, SubmittedAt: now, offerRaw: raw})
 	return nil
+}
+
+// marshalOffer encodes an offer for a record's offerRaw and its submit
+// event. Submit and SubmitBatch call it before they take the shard lock.
+// An offer that does not encode (an infinite energy bound) yields nil,
+// which leaves both to encode it themselves and fail as they always have.
+func marshalOffer(f *flexoffer.FlexOffer) json.RawMessage {
+	raw, err := json.Marshal(f)
+	if err != nil {
+		return nil
+	}
+	return raw
 }
 
 // BatchFailure attributes one rejected offer within a SubmitBatch call to
@@ -380,10 +394,10 @@ func (r BatchResult) FailedOffers(offers flexoffer.Set) flexoffer.Set {
 
 // SubmitBatch collects many offers with one lock acquisition per touched
 // shard — the bulk ingest path used by the extraction pipeline.
-// Validation runs outside the locks; insertion is atomic per offer, not
-// per batch: each offer is accepted or rejected independently, and the
-// result names every failure by index so callers can resubmit only what
-// did not land. On a journaled store each shard's accepted subset is
+// Validation and each offer's JSON encoding run outside the locks;
+// insertion is atomic per offer, not per batch: each offer is accepted or
+// rejected independently, and the result names every failure by index so
+// callers can resubmit only what did not land. On a journaled store each shard's accepted subset is
 // journaled as one event in that shard's WAL stream; a journal failure
 // fails that shard's subset without touching the others.
 func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
@@ -392,8 +406,9 @@ func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
 		res.Failures = append(res.Failures, BatchFailure{Index: i, ID: id, Err: err})
 	}
 	type pending struct {
-		i int
-		f *flexoffer.FlexOffer
+		i   int
+		f   *flexoffer.FlexOffer // the validated clone
+		raw json.RawMessage
 	}
 	// Validate everything and group the survivors by shard, preserving
 	// submission order within each group. Duplicates *within* the batch
@@ -417,8 +432,9 @@ func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
 				continue
 			}
 			seen[f.ID] = true
+			clone := f.Clone()
 			k := s.ShardIndex(f.ID)
-			byShard[k] = append(byShard[k], pending{i, f})
+			byShard[k] = append(byShard[k], pending{i, clone, marshalOffer(clone)})
 		}
 	}
 	// Process shards in ascending order so lock acquisition order is
@@ -437,6 +453,7 @@ func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
 		// journal records exactly the accepted subset ahead of the insert.
 		accepted := make([]pending, 0, len(group))
 		batch := make(flexoffer.Set, 0, len(group))
+		raws := make([]json.RawMessage, 0, len(group))
 		for _, p := range group {
 			f := p.f
 			if !f.AcceptanceTime.IsZero() && now.After(f.AcceptanceTime) {
@@ -447,15 +464,15 @@ func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
 				fail(p.i, f.ID, fmt.Errorf("%w: %s", ErrDuplicate, f.ID))
 				continue
 			}
-			clone := f.Clone()
-			accepted = append(accepted, pending{p.i, clone})
-			batch = append(batch, clone)
+			accepted = append(accepted, p)
+			batch = append(batch, f)
+			raws = append(raws, p.raw)
 		}
 		if len(batch) == 0 {
 			sh.mu.Unlock()
 			continue
 		}
-		rc, err := sh.journalLocked(w, event{Kind: evSubmit, At: now, Offers: batch})
+		rc, err := sh.journalLocked(w, event{Kind: evSubmit, At: now, Offers: batch, offersRaw: raws})
 		if err != nil {
 			// Nothing was applied to this shard; surface the journal
 			// failure per offer so retry paths resubmit the subset.
@@ -466,7 +483,7 @@ func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
 			continue
 		}
 		for _, p := range accepted {
-			sh.insertLocked(rc, &Record{Offer: p.f, State: Offered, SubmittedAt: now})
+			sh.insertLocked(rc, &Record{Offer: p.f, State: Offered, SubmittedAt: now, offerRaw: p.raw})
 			res.Accepted++
 		}
 		sh.mu.Unlock()

@@ -2,38 +2,99 @@ package timeseries
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
 
-// FuzzReadCSV checks the CSV parser never panics and that everything it
-// accepts round-trips losslessly.
+// FuzzReadCSV compares ReadCSV with the encoding/csv path (readQuotedCSV)
+// on every input: either both reject it, or both accept it with the same
+// start, resolution and bitwise-equal values. Everything accepted must
+// also survive a write/read cycle unchanged.
 func FuzzReadCSV(f *testing.F) {
-	f.Add("timestamp,kwh\n2012-06-04T00:00:00Z,1.5\n2012-06-04T00:15:00Z,2\n")
-	f.Add("timestamp,kwh\n2012-06-04T00:00:00Z,\n")
-	f.Add("timestamp,kwh\n")
-	f.Add("")
-	f.Add("garbage")
-	f.Add("timestamp,kwh\n2012-06-04T00:00:00Z,1\n2012-06-04T00:00:00Z,1\n")
-	f.Add("timestamp,kwh\nnot-a-time,1\n")
+	for _, seed := range []string{
+		"timestamp,kwh\n2012-06-04T00:00:00Z,1.5\n2012-06-04T00:15:00Z,2\n",
+		"timestamp,kwh\n2012-06-04T00:00:00Z,\n",
+		"timestamp,kwh\n",
+		"",
+		"garbage",
+		"timestamp,kwh\n2012-06-04T00:00:00Z,1\n2012-06-04T00:00:00Z,1\n",
+		"timestamp,kwh\nnot-a-time,1\n",
+		// Line endings: CRLF, blank lines, no final newline, a lone \r.
+		"timestamp,kwh\r\n2012-06-04T00:00:00Z,1\r\n2012-06-04T00:15:00Z,2\r\n",
+		"\n\ntimestamp,kwh\n\n2012-06-04T00:00:00Z,1\r\n\r\n\n2012-06-04T00:15:00Z,2",
+		"timestamp,kwh\n2012-06-04T00:00:00Z,1\r",
+		"timestamp,kwh\r2012-06-04T00:00:00Z,1\n",
+		"timestamp,kwh\n2012-06-04T00:00:00Z,1\r\r\n",
+		// Quoted fields, and a quoted header cell holding a newline.
+		"timestamp,kwh\n\"2012-06-04T00:00:00Z\",\"1.5\"\n2012-06-04T00:15:00Z,\"\"\n",
+		"timestamp,\"k\nwh\"\n2012-06-04T00:00:00Z,1\n",
+		"timestamp,kwh\n2012-06-04T00:00:00Z,1\"5\n",
+		// A UTF-8 byte order mark.
+		"\ufefftimestamp,kwh\n2012-06-04T00:00:00Z,1\n",
+		// Offsets and fractional seconds.
+		"timestamp,kwh\n2012-06-04T02:00:00+02:00,1\n2012-06-04T00:15:00Z,2\n2012-06-04T02:30:00+02:00,3\n",
+		"timestamp,kwh\n2012-06-04T00:00:00.25Z,1\n2012-06-04T00:00:00.75Z,2\n",
+		// One field, three fields, a trailing comma.
+		"timestamp,kwh\n2012-06-04T00:00:00Z\n",
+		"timestamp\n2012-06-04T00:00:00Z,1\n",
+		"timestamp,kwh\n2012-06-04T00:00:00Z,1,2\n",
+		"timestamp,kwh,\n2012-06-04T00:00:00Z,1\n",
+		"timestamp,kwh\n2012-06-04T00:00:00Z,1,\n",
+		// Series WriteCSV could not write back: before year 0000 in UTC,
+		// a span or a step beyond a time.Duration.
+		"timestamp,\n0000-01-01T0:00:00+00:01,",
+		"timestamp,kwh\n0001-01-01T00:00:00Z,1\n0151-01-01T00:00:00Z,2\n0301-01-01T00:00:00Z,3\n",
+		"timestamp,kwh\n0001-01-01T00:00:00Z,1\n0400-01-01T00:00:00Z,2\n0800-01-01T00:00:00Z,3\n",
+		// Special and hex floats.
+		"timestamp,kwh\n2012-06-04T00:00:00Z,NaN\n2012-06-04T00:15:00Z,Inf\n2012-06-04T00:30:00Z,-inf\n2012-06-04T00:45:00Z,0x1.8p1\n",
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
-		s, err := ReadCSV(strings.NewReader(input))
-		if err != nil {
-			return // rejection is fine; panics are not
+		got, err := ReadCSV(strings.NewReader(input))
+		want, wantErr := readQuotedCSV(strings.NewReader(input))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadCSV error %v, encoding/csv error %v", err, wantErr)
 		}
-		// Accepted series must survive a write/read cycle unchanged.
+		if err != nil {
+			return
+		}
+		if d := seriesDiff(got, want); d != "" {
+			t.Fatalf("ReadCSV and encoding/csv disagree: %s", d)
+		}
 		var buf bytes.Buffer
-		if err := s.WriteCSV(&buf); err != nil {
+		if err := got.WriteCSV(&buf); err != nil {
 			t.Fatalf("WriteCSV after accept: %v", err)
 		}
 		back, err := ReadCSV(&buf)
 		if err != nil {
 			t.Fatalf("re-read of own output: %v", err)
 		}
-		if back.Len() != s.Len() || !back.Start().Equal(s.Start()) {
-			t.Fatalf("round trip changed shape: %v vs %v", back, s)
+		if d := seriesDiff(back, got); d != "" {
+			t.Fatalf("round trip changed the series: %s", d)
 		}
 	})
+}
+
+// seriesDiff describes the first difference between a and b in start,
+// resolution, length or the bits of a value; "" when there is none.
+func seriesDiff(a, b *Series) string {
+	switch {
+	case !a.Start().Equal(b.Start()):
+		return fmt.Sprintf("start %v vs %v", a.Start(), b.Start())
+	case a.Resolution() != b.Resolution():
+		return fmt.Sprintf("resolution %v vs %v", a.Resolution(), b.Resolution())
+	case a.Len() != b.Len():
+		return fmt.Sprintf("length %d vs %d", a.Len(), b.Len())
+	}
+	for i := 0; i < a.Len(); i++ {
+		if math.Float64bits(a.Value(i)) != math.Float64bits(b.Value(i)) {
+			return fmt.Sprintf("value[%d] %v vs %v", i, a.Value(i), b.Value(i))
+		}
+	}
+	return ""
 }
 
 // FuzzSeriesJSON checks the JSON unmarshaller never panics and accepted

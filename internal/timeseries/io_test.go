@@ -3,6 +3,8 @@ package timeseries
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -44,10 +46,33 @@ func TestReadCSVErrors(t *testing.T) {
 		{"irregular step", "timestamp,kwh\n2012-06-01T00:00:00Z,1\n2012-06-01T00:15:00Z,2\n2012-06-01T00:45:00Z,3\n"},
 		{"backwards time", "timestamp,kwh\n2012-06-01T00:15:00Z,1\n2012-06-01T00:00:00Z,2\n"},
 		{"wrong field count", "timestamp,kwh\n2012-06-01T00:00:00Z,1,extra\n"},
+		{"zero step", "timestamp,kwh\n2012-06-01T00:00:00Z,1\n2012-06-01T00:00:00Z,2\n"},
+		{"header field count", "timestamp\n2012-06-01T00:00:00Z,1\n"},
+		{"blank lines only", "\r\n\n"},
+		{"quoted bad value", "timestamp,kwh\n2012-06-01T00:00:00Z,\"abc\"\n"},
+		{"bare quote", "timestamp,kwh\n2012-06-01T00:00:00Z,1\"5\n"},
 	}
 	for _, tc := range tests {
 		if _, err := ReadCSV(strings.NewReader(tc.in)); err == nil {
 			t.Errorf("%s: ReadCSV succeeded, want error", tc.name)
+		}
+	}
+}
+
+// TestReadCSVRejectsUnwritableSeries covers the inputs whose series
+// WriteCSV could not write back, each one a FuzzReadCSV seed too.
+func TestReadCSVRejectsUnwritableSeries(t *testing.T) {
+	tests := []struct {
+		name, in string
+		want     error
+	}{
+		{"before year 0000 in UTC", "timestamp,kwh\n0000-01-01T00:00:00+00:01,1\n", ErrRange},
+		{"span beyond a time.Duration", "timestamp,kwh\n0001-01-01T00:00:00Z,1\n0151-01-01T00:00:00Z,2\n0301-01-01T00:00:00Z,3\n", ErrRange},
+		{"first step beyond a time.Duration", "timestamp,kwh\n0001-01-01T00:00:00Z,1\n0400-01-01T00:00:00Z,2\n", ErrResolution},
+	}
+	for _, tc := range tests {
+		if _, err := ReadCSV(strings.NewReader(tc.in)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: ReadCSV error %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
@@ -126,5 +151,51 @@ func TestCSVRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// householdCSV writes a days-long series at the given resolution the way
+// gendata writes a household file: WriteCSV over random 17-digit values.
+func householdCSV(tb testing.TB, days int, res time.Duration) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, days*int(24*time.Hour/res))
+	for i := range vals {
+		vals[i] = rng.Float64() * 2
+	}
+	var buf bytes.Buffer
+	if err := MustNew(t0, res, vals).WriteCSV(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadCSVAllocations pins ReadCSV's allocation count independently
+// of the row count: 14 days at 1 minute is 20,160 rows. The reader hides
+// WriterTo and Stat, so the input arrives in chunks of unknown total
+// size, the worst case for ReadCSV's buffer.
+func TestReadCSVAllocations(t *testing.T) {
+	data := householdCSV(t, 14, time.Minute)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadCSV(struct{ io.Reader }{bytes.NewReader(data)}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ReadCSV of 20,160 rows: %.0f allocations", allocs)
+	if allocs >= 64 {
+		t.Errorf("ReadCSV of 20,160 rows allocates %.0f times, want fewer than 64", allocs)
+	}
+}
+
+// BenchmarkReadCSV reads a 28-day, 15-minute household file (2,688 rows),
+// one portfolio seed file, from a reader of unknown size.
+func BenchmarkReadCSV(b *testing.B) {
+	data := householdCSV(b, 28, 15*time.Minute)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadCSV(struct{ io.Reader }{bytes.NewReader(data)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

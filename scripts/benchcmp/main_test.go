@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -116,6 +119,41 @@ func TestCompareVerdict(t *testing.T) {
 				t.Errorf("fails = %v, want %v: %s", got, c.fails, strings.Join(problems, "; "))
 			}
 		})
+	}
+}
+
+func TestInvalidRun(t *testing.T) {
+	ok := check{Name: "reconciles", OK: true}
+	bad := check{Name: "reconciles", Detail: "2 offers lost"}
+	late := check{Name: latenessCheck, Detail: "5.900 ms over 12000 open-loop requests"}
+	onTime := check{Name: latenessCheck, OK: true}
+	cases := []struct {
+		name   string
+		checks []check
+		want   bool
+	}{
+		{"every check passed", []check{ok, onTime}, false},
+		{"only the lateness check failed", []check{ok, late}, true},
+		{"the lateness check and another failed", []check{bad, late}, false},
+		{"another check failed", []check{bad, onTime}, false},
+		{"no checks", nil, false},
+	}
+	for _, c := range cases {
+		if got := invalid(&result{Checks: c.checks}); got != c.want {
+			t.Errorf("%s: invalid = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestLatenessCheckIsFlexbenchs keeps latenessCheck the name flexbench
+// gives the check, which lives in the separate bench module.
+func TestLatenessCheckIsFlexbenchs(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "bench", "daemonrun.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(src), strconv.Quote(latenessCheck)) {
+		t.Errorf("bench/daemonrun.go names no check %q", latenessCheck)
 	}
 }
 
