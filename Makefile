@@ -10,10 +10,12 @@ test:
 
 # Race-detect the packages with real concurrency: the batch-extraction
 # worker pool, the market store (event stream included), its write-ahead
-# journal, the scheduler and KPI services, the admission gate (plus the
-# commands that drive them).
+# journal, the scheduler and KPI services, the admission gate, the metric
+# families (each creates children under its write lock, up to its bound),
+# and the commands that drive them. The allocation tests in these packages
+# hold under -race too.
 race:
-	$(GO) test -race ./internal/pipeline ./internal/market ./internal/wal ./internal/sched ./internal/kpi ./internal/admission ./cmd/flexextract ./cmd/mirabeld
+	$(GO) test -race ./internal/pipeline ./internal/market ./internal/wal ./internal/sched ./internal/kpi ./internal/admission ./internal/obs ./cmd/flexextract ./cmd/mirabeld
 
 race-all:
 	$(GO) test -race ./...

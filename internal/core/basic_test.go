@@ -9,14 +9,20 @@ import (
 	"repro/internal/timeseries"
 )
 
-// shapedDay builds one day with a realistic morning/evening shape.
-func shapedDay(days int) *timeseries.Series {
-	vals := make([]float64, days*96)
+// shapedDay builds days of 15-minute data with a realistic morning/evening
+// shape.
+func shapedDay(days int) *timeseries.Series { return shapedSeries(days, 15*time.Minute) }
+
+// shapedSeries builds days of data at the given resolution with
+// shapedDay's morning/evening shape.
+func shapedSeries(days int, res time.Duration) *timeseries.Series {
+	perDay := int(24 * time.Hour / res)
+	vals := make([]float64, days*perDay)
 	for i := range vals {
-		h := float64(i%96) / 4
+		h := float64(i%perDay) * res.Hours()
 		vals[i] = 0.25 + 0.3*math.Exp(-(h-7.5)*(h-7.5)/4) + 0.5*math.Exp(-(h-19)*(h-19)/8)
 	}
-	return timeseries.MustNew(t0, 15*time.Minute, vals)
+	return timeseries.MustNew(t0, res, vals)
 }
 
 func TestBasicExtractFigure4Shape(t *testing.T) {
@@ -43,6 +49,48 @@ func TestBasicExtractFigure4Shape(t *testing.T) {
 		// Profile fits in the period.
 		if f.EarliestStart.Add(f.Duration()).After(periodEnd) {
 			t.Errorf("offer %d profile spills out of its period", i)
+		}
+	}
+}
+
+// TestBasicExtractAllocations bounds the per-period scan's allocations.
+// The same 28 days at 1 minute (40,320 slices) may allocate only a few
+// times more than at 15 minutes (2,688 slices), so nothing is allocated
+// per slice; both yield 112 offers and stay within 8 allocations per offer
+// plus a small constant. Every bound also holds under -race.
+func TestBasicExtractAllocations(t *testing.T) {
+	run := func(res time.Duration) (allocs float64, offers int) {
+		p := DefaultParams()
+		p.SliceDuration = res
+		e := &BasicExtractor{Params: p}
+		input := shapedSeries(28, res)
+		allocs = testing.AllocsPerRun(20, func() {
+			r, err := e.Extract(input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offers = len(r.Offers)
+		})
+		return allocs, offers
+	}
+	coarse, coarseOffers := run(15 * time.Minute)
+	fine, fineOffers := run(time.Minute)
+	t.Logf("Extract of 28 days: %.0f allocations at 15 min (%d offers), %.0f at 1 min (%d offers)", coarse, coarseOffers, fine, fineOffers)
+	// The slack absorbs the race detector, which drops a random share of
+	// sync.Pool puts (fmt's printer cache) and so adds a few allocations
+	// per run; one allocation per slice would add 37,632.
+	if fine > coarse+32 {
+		t.Errorf("1-min run allocates %.0f times against %.0f at 15 min: an allocation per slice", fine, coarse)
+	}
+	for _, c := range []struct {
+		allocs float64
+		offers int
+	}{{coarse, coarseOffers}, {fine, fineOffers}} {
+		if c.offers != 112 {
+			t.Errorf("%d offers, want 112 (four 6-hour periods a day)", c.offers)
+		}
+		if limit := float64(8*c.offers + 32); c.allocs > limit {
+			t.Errorf("%.0f allocations for %d offers, want at most %.0f", c.allocs, c.offers, limit)
 		}
 	}
 }

@@ -3,12 +3,10 @@ package lint
 // All returns every flexvet analyzer, in stable (alphabetical) order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AllocCheck,
 		ClockCheck,
 		DocCheck,
 		ErrFlow,
 		FloatCmp,
-		LabelCard,
 		LockOrder,
 		MutexGuard,
 		ValidateCheck,

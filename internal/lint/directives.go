@@ -2,25 +2,22 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"strings"
 )
 
-// Directive kinds understood by the flexvet comment parser. The //lint:ignore
-// family suppresses findings; the //flexvet: family marks functions for
-// alloccheck (docs/LINTING.md documents both).
+// Directive kinds understood by the flexvet comment parser. The only one
+// is //lint:ignore, which suppresses findings (docs/LINTING.md).
 const (
 	// DirIgnore suppresses an analyzer's findings on the directive's line
 	// and the line below it. The analyzer name and a reason are mandatory.
 	DirIgnore = "ignore"
-	// DirHotpath subjects a function to alloccheck's per-element allocation
-	// rules (the zero-allocation submit/list/extract paths).
-	DirHotpath = "hotpath"
 )
 
-// lintPrefix and flexvetPrefix open the two directive families; ignorePrefix
-// is the only //lint: form. Anything else under either prefix is malformed
-// and reported, so a typo cannot silently disable a check.
+// lintPrefix opens the directive family and ignorePrefix is its only form.
+// flexvetPrefix opens a retired family: its verbs (hotpath, journaled,
+// replay) gave way to tests and types, so every //flexvet: comment is
+// reported. Anything else under either prefix is malformed and reported,
+// so a typo or a stale annotation cannot linger.
 const (
 	lintPrefix    = "//lint:"
 	ignorePrefix  = "//lint:ignore"
@@ -31,10 +28,9 @@ const (
 type Directive struct {
 	// Kind is one of the Dir* constants.
 	Kind string
-	// Analyzer is the suppressed analyzer's name, or "all" (DirIgnore only).
+	// Analyzer is the suppressed analyzer's name, or "all".
 	Analyzer string
-	// Reason is the human explanation (mandatory for DirIgnore, optional
-	// for DirHotpath).
+	// Reason is the mandatory human explanation.
 	Reason string
 }
 
@@ -59,32 +55,11 @@ func ParseDirective(text string) (d Directive, ok bool, msg string) {
 	case strings.HasPrefix(text, lintPrefix):
 		return Directive{}, false, `malformed //lint: directive: want "//lint:ignore <analyzer> <reason>"`
 	case strings.HasPrefix(text, flexvetPrefix):
-		rest := text[len(flexvetPrefix):]
-		name := rest
-		var args []string
-		if i := strings.IndexAny(rest, " \t"); i >= 0 {
-			name, args = rest[:i], strings.Fields(rest[i:])
+		name := text[len(flexvetPrefix):]
+		if i := strings.IndexAny(name, " \t"); i >= 0 {
+			name = name[:i]
 		}
-		if name != DirHotpath {
-			return Directive{}, false, fmt.Sprintf("unknown //flexvet: directive %q (known: hotpath)", name)
-		}
-		// Trailing words are free-form commentary.
-		return Directive{Kind: DirHotpath, Reason: strings.Join(args, " ")}, true, ""
+		return Directive{}, false, fmt.Sprintf("unknown //flexvet: directive %q: the //flexvet: family is retired, delete the comment", name)
 	}
 	return Directive{}, false, ""
-}
-
-// funcDirective returns the first well-formed directive of the given kind
-// in fd's doc comment. Malformed directives are not matched here — the
-// framework already reports them — so a typo never grants an exemption.
-func funcDirective(fd *ast.FuncDecl, kind string) (Directive, bool) {
-	if fd == nil || fd.Doc == nil {
-		return Directive{}, false
-	}
-	for _, c := range fd.Doc.List {
-		if d, ok, _ := ParseDirective(c.Text); ok && d.Kind == kind {
-			return d, true
-		}
-	}
-	return Directive{}, false
 }

@@ -7,21 +7,21 @@
 // The analyzers encode invariants of the flex-offer model that Go's type
 // system cannot express — constructed offers must be validated before they
 // travel, energy values must not be compared with ==, replayable paths must
-// draw time from an injected clock, metric labels must stay bounded, and
-// mutex-guarded state must be accessed under its lock. docs/LINTING.md
-// documents every analyzer and the convention it enforces.
+// draw time from an injected clock, and mutex-guarded state must be
+// accessed under its lock. docs/LINTING.md documents every analyzer and the
+// convention it enforces.
 //
 // A finding can be suppressed at the offending line (or the line above it)
 // with an explanation:
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// The reason is mandatory; a directive without one is itself reported.
+// The reason is mandatory and the analyzer must be registered (or "all");
+// a directive that breaks either rule is itself reported.
 package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -176,11 +176,11 @@ func (s ignoreSet) covers(d Diagnostic) bool {
 }
 
 // collectIgnores extracts the //lint:ignore directives of a package through
-// the shared directive parser. Any malformed directive — an ignore missing
-// its analyzer name or reason, an unknown or incomplete //flexvet: marker —
-// is reported as a diagnostic of the pseudo-analyzer "flexvet" instead of
-// being honoured, so a typo cannot silently disable a check or grant a
-// flow-analyzer exemption.
+// the shared directive parser. A malformed directive — an ignore missing
+// its analyzer name or reason, any //flexvet: comment — and an ignore
+// naming no registered analyzer (a typo, or one that was deleted) are
+// reported as diagnostics of the pseudo-analyzer "flexvet" instead of
+// being honoured, so neither can silently disable a check or linger.
 func collectIgnores(pkg *Package) (ignoreSet, []Diagnostic) {
 	ignores := make(ignoreSet)
 	var malformed []Diagnostic
@@ -188,72 +188,21 @@ func collectIgnores(pkg *Package) (ignoreSet, []Diagnostic) {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
 				d, ok, msg := ParseDirective(c.Text)
-				if !ok {
-					if msg != "" {
-						pos := pkg.Fset.Position(c.Pos())
-						malformed = append(malformed, Diagnostic{
-							Analyzer: "flexvet",
-							File:     strings.ReplaceAll(pos.Filename, "\\", "/"),
-							Line:     pos.Line,
-							Col:      pos.Column,
-							Message:  msg,
-						})
-					}
+				if ok && d.Analyzer != "all" && ByName(d.Analyzer) == nil {
+					ok, msg = false, fmt.Sprintf("//lint:ignore names unknown analyzer %q: fix the name or delete the directive (flexvet -list)", d.Analyzer)
+				}
+				if !ok && msg == "" {
+					continue // an ordinary comment
+				}
+				pos := pkg.Fset.Position(c.Pos())
+				path := strings.ReplaceAll(pos.Filename, "\\", "/")
+				if ok {
+					ignores[ignoreKey{path, pos.Line, d.Analyzer}] = true
 					continue
 				}
-				if d.Kind == DirIgnore {
-					pos := pkg.Fset.Position(c.Pos())
-					ignores[ignoreKey{strings.ReplaceAll(pos.Filename, "\\", "/"), pos.Line, d.Analyzer}] = true
-				}
+				malformed = append(malformed, Diagnostic{Analyzer: "flexvet", File: path, Line: pos.Line, Col: pos.Column, Message: msg})
 			}
 		}
 	}
 	return ignores, malformed
-}
-
-// funcFor locates the declaration of the named function or method in any
-// loaded package with the given import path, returning the declaring
-// package and declaration. Methods are addressed as "Recv.Name". It returns
-// nil, nil when the function is not part of the loaded source.
-func funcFor(all []*Package, pkgPath, name string) (*Package, *ast.FuncDecl) {
-	for _, pkg := range all {
-		if pkg.Path != pkgPath {
-			continue
-		}
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if funcKey(fd) == name {
-					return pkg, fd
-				}
-			}
-		}
-	}
-	return nil, nil
-}
-
-// funcKey renders a FuncDecl's lookup key: "Name" for functions,
-// "Recv.Name" for methods.
-func funcKey(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch rt := t.(type) {
-		case *ast.StarExpr:
-			t = rt.X
-		case *ast.IndexExpr:
-			t = rt.X
-		case *ast.IndexListExpr:
-			t = rt.X
-		case *ast.Ident:
-			return rt.Name + "." + fd.Name.Name
-		default:
-			return fd.Name.Name
-		}
-	}
 }

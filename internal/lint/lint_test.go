@@ -32,8 +32,10 @@ func loadFixture(t *testing.T, dirs ...string) []*Package {
 // wantRe matches the golden markers embedded in fixture comments:
 // "want:<analyzer>" expects a diagnostic of that analyzer on the same line.
 // (The marker doubles as the malformed-directive fixture: a directive of the
-// form "//lint:ignore want:flexvet" has no reason, so the framework reports
-// it at that line under the pseudo-analyzer "flexvet".)
+// form "//lint:ignore want:flexvet" has no reason, and one of the form
+// "//lint:ignore floatcomp want:flexvet ..." names no registered analyzer,
+// so the framework reports each at its line under the pseudo-analyzer
+// "flexvet".)
 var wantRe = regexp.MustCompile(`want:([a-z]+)`)
 
 // wantDiags scans the fixture files of dirs for golden markers and returns
@@ -125,12 +127,6 @@ func TestClockCheck(t *testing.T) {
 	checkFixture(t, ClockCheck, []string{"internal/pipeline"})
 }
 
-func TestLabelCard(t *testing.T) {
-	// The obs stub is loaded alongside so the cross-package normaliser
-	// (obs.Label) can be proven bounded from source.
-	checkFixture(t, LabelCard, []string{"labelcard", "internal/obs"})
-}
-
 func TestMutexGuard(t *testing.T) {
 	checkFixture(t, MutexGuard, []string{"mutexguard"})
 }
@@ -156,10 +152,6 @@ func TestLockOrder(t *testing.T) {
 	checkFixture(t, LockOrder, []string{"lockorder"})
 }
 
-func TestAllocCheck(t *testing.T) {
-	checkFixture(t, AllocCheck, []string{"alloccheck"})
-}
-
 func TestPathMatches(t *testing.T) {
 	cases := []struct {
 		pkg, pat string
@@ -181,8 +173,8 @@ func TestPathMatches(t *testing.T) {
 
 func TestAnalyzerRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 9 {
-		t.Fatalf("expected 9 analyzers, got %d", len(all))
+	if len(all) != 7 {
+		t.Fatalf("expected 7 analyzers, got %d", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {

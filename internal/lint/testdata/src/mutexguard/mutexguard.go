@@ -60,6 +60,13 @@ func (c *counter) malformedDirective() int {
 	return c.n // want:mutexguard
 }
 
+// misnamedDirective's suppression names no registered analyzer (a typo of
+// floatcmp), so it is reported and honours nothing.
+func (c *counter) misnamedDirective() int {
+	//lint:ignore floatcomp want:flexvet the analyzer name is misspelt
+	return c.n // want:mutexguard
+}
+
 // incrLocked follows the *Locked convention: the caller holds c.mu, so
 // the guarded accesses in its body are exempt.
 func (c *counter) incrLocked() {

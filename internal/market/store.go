@@ -162,9 +162,8 @@ func (r Record) MarshalJSON() ([]byte, error) {
 }
 
 // appendJSON appends the record's wire form to buf; Page.MarshalJSON
-// stitches whole pages into one buffer through it.
-//
-//flexvet:hotpath runs once per record on every listing page
+// stitches whole pages into one buffer through it. It runs once per record
+// on every listing page; TestPageMarshalAllocations bounds its allocations.
 func (r Record) appendJSON(buf []byte) ([]byte, error) {
 	raw := r.offerRaw
 	if raw == nil {
@@ -586,8 +585,8 @@ func (s *Store) Get(id string) (Record, bool) {
 // (global submission order on a single-shard store), optionally filtered
 // to the given states. A single-state filter walks that state's index
 // list instead of the whole shard. For bounded reads at scale, use Page.
-//
-//flexvet:hotpath full-store listings copy every matching record
+// A full-store listing copies every matching record into one sized slice;
+// TestListAllocations holds each call to that one allocation.
 func (s *Store) List(states ...State) []Record {
 	var want [numStates]bool
 	for _, st := range states {

@@ -18,7 +18,9 @@
 //     Prometheus's cumulative-bucket convention — the latency instrument.
 //
 // Labelled variants (CounterVec, HistogramVec) key children by label
-// values, e.g. one request counter per (route, method, status class).
+// values, e.g. one request counter per (route, method, status class). A
+// family holds at most 1,024 children; any further label combination is
+// counted under one overflow child whose labels are all "other".
 //
 // # Registry and exposition
 //

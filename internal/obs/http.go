@@ -91,11 +91,12 @@ func statusClass(status int) string {
 }
 
 // Middleware wraps next with instrumentation: every request is counted and
-// timed under the route label routeOf derives from it, requests in flight
-// are gauged, and handler panics are recovered into a 500 response (and
+// timed under the route label routeOf derives from it (the raw path when
+// routeOf is nil; the family bound caps the children either way), requests
+// in flight are gauged, and handler panics are recovered into a 500 (and
 // counted) so one bad request cannot take the server down. Each request is
-// additionally logged at debug level; recovered panics log at error level.
-// Both m and logger may be nil to disable that half.
+// logged at debug level, recovered panics at error level. Both m and
+// logger may be nil to disable that half.
 func Middleware(next http.Handler, m *HTTPMetrics, routeOf func(*http.Request) string, logger *Logger) http.Handler {
 	if routeOf == nil {
 		routeOf = func(r *http.Request) string { return r.URL.Path }
@@ -120,9 +121,7 @@ func Middleware(next http.Handler, m *HTTPMetrics, routeOf func(*http.Request) s
 			}
 			if m != nil {
 				m.InFlight.Dec()
-				//lint:ignore labelcard route is bounded by contract: routeOf maps requests onto the server's fixed route inventory (market.Routes, docs/API.md)
 				m.Requests.With(route, methodLabel(r.Method), statusClass(rec.status)).Inc()
-				//lint:ignore labelcard route is bounded by contract: routeOf maps requests onto the server's fixed route inventory (market.Routes, docs/API.md)
 				m.Latency.With(route).Observe(elapsed.Seconds())
 			}
 			logger.Debug("request", "route", route, "method", r.Method, "path", r.URL.Path, "status", rec.status, "dur", elapsed)

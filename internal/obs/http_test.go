@@ -3,6 +3,7 @@ package obs
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -65,5 +66,23 @@ func TestMiddlewareNilMetricsAndLogger(t *testing.T) {
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/x", nil))
 	if rr.Code != http.StatusNoContent {
 		t.Errorf("status = %d, want 204", rr.Code)
+	}
+}
+
+// TestMiddlewareRouteLabelsBounded: with no routeOf, the middleware labels
+// each request by its raw path, so 3,000 distinct paths would build 3,000
+// request children without the family bound.
+func TestMiddlewareRouteLabelsBounded(t *testing.T) {
+	reg := NewRegistry()
+	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}), NewHTTPMetrics(reg, "test"), nil, nil)
+	for i := 0; i < 3000; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/p/"+strconv.Itoa(i), nil))
+	}
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out.String(), "\ntest_http_requests_total{"); n > maxVecChildren+1 {
+		t.Errorf("exposition holds %d request children, want at most %d", n, maxVecChildren+1)
 	}
 }

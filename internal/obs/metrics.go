@@ -186,20 +186,23 @@ func labelString(labels []Label) string {
 	return b.String()
 }
 
-func zipLabels(names, values []string) []Label {
-	labels := make([]Label, len(names))
-	for i, n := range names {
-		labels[i] = Label{Name: n, Value: values[i]}
-	}
-	return labels
-}
+// maxVecChildren caps the children of one labelled family, so no input,
+// however many distinct label values it carries, can grow a family (or
+// /metrics) without limit. The daemon's largest family,
+// mirabeld_http_requests_total, has at most 16 route labels
+// (market.RouteLabel) × 8 method labels (methodLabel) × 4 status classes
+// (statusClass) = 512 children; the cap leaves it twice that.
+const maxVecChildren = 1024
 
-// CounterVec is a family of Counters keyed by label values, e.g. one
-// request counter per (route, method, status).
-type CounterVec struct {
+// vec is the child map behind CounterVec and HistogramVec, one child per
+// label-value combination, made by newChild. Past maxVecChildren children,
+// every new combination counts under one overflow child whose labels are
+// all "other": totals stay exact and the family stays bounded.
+type vec[M any] struct {
 	names    []string
+	newChild func() M
 	mu       sync.RWMutex
-	children map[string]*vecChild[*Counter]
+	children map[string]*vecChild[M]
 }
 
 type vecChild[M any] struct {
@@ -207,11 +210,11 @@ type vecChild[M any] struct {
 	metric M
 }
 
-// With returns (creating on first use) the child counter for the given
-// label values, which must match the vec's label names in number and order.
-func (v *CounterVec) With(values ...string) *Counter {
+// with returns (creating on first use) the child for the given label
+// values, which must match the family's label names in number and order.
+func (v *vec[M]) with(values []string) M {
 	if len(values) != len(v.names) {
-		panic(fmt.Sprintf("obs: CounterVec got %d label values, want %d", len(values), len(v.names)))
+		panic(fmt.Sprintf("obs: got %d label values for labels %q", len(values), v.names))
 	}
 	key := strings.Join(values, "\xff")
 	v.mu.RLock()
@@ -222,57 +225,52 @@ func (v *CounterVec) With(values ...string) *Counter {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	if len(v.children) >= maxVecChildren && v.children[key] == nil {
+		values = make([]string, len(v.names))
+		for i := range values {
+			values[i] = "other"
+		}
+		key = strings.Join(values, "\xff")
+	}
 	if c, ok := v.children[key]; ok {
 		return c.metric
 	}
-	child := &vecChild[*Counter]{labels: zipLabels(v.names, values), metric: new(Counter)}
-	v.children[key] = child
-	return child.metric
-}
-
-// HistogramVec is a family of Histograms keyed by label values, e.g. one
-// latency histogram per route.
-type HistogramVec struct {
-	names    []string
-	buckets  []float64
-	mu       sync.RWMutex
-	children map[string]*vecChild[*Histogram]
-}
-
-// With returns (creating on first use) the child histogram for the given
-// label values, which must match the vec's label names in number and order.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.names) {
-		panic(fmt.Sprintf("obs: HistogramVec got %d label values, want %d", len(values), len(v.names)))
+	c = &vecChild[M]{labels: make([]Label, len(v.names)), metric: v.newChild()}
+	for i, n := range v.names {
+		c.labels[i] = Label{Name: n, Value: values[i]}
 	}
-	key := strings.Join(values, "\xff")
+	v.children[key] = c
+	return c.metric
+}
+
+// sorted returns the children ordered by rendered label string, so
+// expositions are deterministic.
+func (v *vec[M]) sorted() []*vecChild[M] {
 	v.mu.RLock()
-	c, ok := v.children[key]
-	v.mu.RUnlock()
-	if ok {
-		return c.metric
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.children[key]; ok {
-		return c.metric
-	}
-	child := &vecChild[*Histogram]{labels: zipLabels(v.names, values), metric: newHistogram(v.buckets)}
-	v.children[key] = child
-	return child.metric
-}
-
-// sortedChildren returns the vec children ordered by rendered label string,
-// so expositions are deterministic.
-func sortedChildren[M any](mu *sync.RWMutex, children map[string]*vecChild[M]) []*vecChild[M] {
-	mu.RLock()
-	out := make([]*vecChild[M], 0, len(children))
-	for _, c := range children {
+	out := make([]*vecChild[M], 0, len(v.children))
+	for _, c := range v.children {
 		out = append(out, c)
 	}
-	mu.RUnlock()
+	v.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		return labelString(out[i].labels) < labelString(out[j].labels)
 	})
 	return out
 }
+
+// CounterVec is a family of Counters keyed by label values, e.g. one
+// request counter per (route, method, status), bounded at maxVecChildren
+// children plus an overflow child.
+type CounterVec struct{ vec[*Counter] }
+
+// With returns (creating on first use) the child counter for the given
+// label values, which must match the vec's label names in number and order.
+func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
+
+// HistogramVec is a family of Histograms keyed by label values, e.g. one
+// latency histogram per route, bounded like CounterVec.
+type HistogramVec struct{ vec[*Histogram] }
+
+// With returns (creating on first use) the child histogram for the given
+// label values, which must match the vec's label names in number and order.
+func (v *HistogramVec) With(values ...string) *Histogram { return v.with(values) }

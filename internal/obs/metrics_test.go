@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -94,6 +95,45 @@ func TestVecChildrenKeyedByLabels(t *testing.T) {
 	// Same values -> same child.
 	if v.With("/offers", "GET") != v.With("/offers", "GET") {
 		t.Error("With not stable for identical labels")
+	}
+}
+
+// TestVecChildrenBounded: 8 goroutines make first use of 4,000 distinct
+// label pairs on one family. The family stops at maxVecChildren children
+// plus the overflow child, which counts every pair past the cap, so the
+// total stays exact.
+func TestVecChildrenBounded(t *testing.T) {
+	reg := NewRegistry()
+	v := reg.NewCounterVec("req_total", "test", "route", "method")
+	const goroutines, perGoroutine = 8, 500
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				v.With("/r"+strconv.Itoa(g), strconv.Itoa(i)).Inc()
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	children := v.sorted()
+	if len(children) > maxVecChildren+1 {
+		t.Errorf("family holds %d children, want at most %d", len(children), maxVecChildren+1)
+	}
+	var total, other uint64
+	for _, c := range children {
+		total += c.metric.Value()
+		if c.labels[0].Value == "other" && c.labels[1].Value == "other" {
+			other = c.metric.Value()
+		}
+	}
+	if total != goroutines*perGoroutine {
+		t.Errorf("children sum to %d, want %d", total, goroutines*perGoroutine)
+	}
+	if want := uint64(goroutines*perGoroutine - maxVecChildren); other != want {
+		t.Errorf("overflow child = %d, want %d", other, want)
 	}
 }
 

@@ -78,7 +78,7 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() uint64) {
 
 // NewCounterVec registers and returns a labelled counter family.
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	v := &CounterVec{names: labelNames, children: make(map[string]*vecChild[*Counter])}
+	v := &CounterVec{vec[*Counter]{names: labelNames, newChild: func() *Counter { return new(Counter) }, children: make(map[string]*vecChild[*Counter])}}
 	r.register(&family{name: name, help: help, typ: "counter", counterVec: v})
 	return v
 }
@@ -114,7 +114,8 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 // NewHistogramVec registers and returns a labelled histogram family with
 // the given bucket upper bounds (DefBuckets when nil).
 func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	v := &HistogramVec{names: labelNames, buckets: buckets, children: make(map[string]*vecChild[*Histogram])}
+	newChild := func() *Histogram { return newHistogram(buckets) }
+	v := &HistogramVec{vec[*Histogram]{names: labelNames, newChild: newChild, children: make(map[string]*vecChild[*Histogram])}}
 	r.register(&family{name: name, help: help, typ: "histogram", histogramVec: v})
 	return v
 }
@@ -147,7 +148,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case f.counterFunc != nil:
 			fmt.Fprintf(bw, "%s %d\n", f.name, f.counterFunc())
 		case f.counterVec != nil:
-			for _, c := range sortedChildren(&f.counterVec.mu, f.counterVec.children) {
+			for _, c := range f.counterVec.sorted() {
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, labelString(c.labels), c.metric.Value())
 			}
 		case f.gauge != nil:
@@ -161,7 +162,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case f.histogram != nil:
 			writePromHistogram(bw, f.name, nil, f.histogram.Snapshot())
 		case f.histogramVec != nil:
-			for _, c := range sortedChildren(&f.histogramVec.mu, f.histogramVec.children) {
+			for _, c := range f.histogramVec.sorted() {
 				writePromHistogram(bw, f.name, c.labels, c.metric.Snapshot())
 			}
 		}
@@ -242,7 +243,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			out[f.name] = f.counterFunc()
 		case f.counterVec != nil:
 			var vals []jsonLabelled
-			for _, c := range sortedChildren(&f.counterVec.mu, f.counterVec.children) {
+			for _, c := range f.counterVec.sorted() {
 				vals = append(vals, jsonLabelled{Labels: labelMap(c.labels), Value: float64(c.metric.Value())})
 			}
 			out[f.name] = vals
@@ -260,7 +261,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			out[f.name] = jsonHistogramValue(nil, f.histogram.Snapshot())
 		case f.histogramVec != nil:
 			var vals []jsonHistogram
-			for _, c := range sortedChildren(&f.histogramVec.mu, f.histogramVec.children) {
+			for _, c := range f.histogramVec.sorted() {
 				vals = append(vals, jsonHistogramValue(c.labels, c.metric.Snapshot()))
 			}
 			out[f.name] = vals

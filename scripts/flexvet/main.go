@@ -3,8 +3,9 @@
 // the internal/lint analyzers over them — the invariants of the flex-offer
 // model that go vet cannot know about: offers validated before they travel,
 // no exact float comparison on energies, injected clocks in replayable
-// paths, bounded metric-label cardinality, mutex-guarded state accessed
-// under its lock, and documented contract packages.
+// paths, checked journal and store errors, acyclic lock order,
+// mutex-guarded state accessed under its lock, and documented contract
+// packages.
 //
 // Usage:
 //

@@ -27,7 +27,7 @@ var seeded = []struct {
 	{"testdata/src/internal/pipeline/guard.go", 14, "mutexguard"},
 }
 
-// flowFixture seeds the three flow-aware analyzers plus the malformed-
+// flowFixture seeds the two flow-aware analyzers plus the malformed-
 // directive pseudo-rule: exactly one violation per file, every other
 // function clean under the full suite.
 const flowFixture = "testdata/src/internal/market"
@@ -39,7 +39,6 @@ var seededFlow = []struct {
 }{
 	{"testdata/src/internal/market/errflow.go", 7, "errflow"},
 	{"testdata/src/internal/market/flow.go", 31, "flexvet"},
-	{"testdata/src/internal/market/hotpath.go", 12, "alloccheck"},
 	{"testdata/src/internal/market/lockorder.go", 8, "lockorder"},
 }
 
@@ -134,7 +133,7 @@ func TestSeededFlowViolations(t *testing.T) {
 				i, d.File, d.Line, d.Analyzer, want.file, want.line, want.analyzer)
 		}
 	}
-	if !strings.Contains(errOut, "4 finding(s)") {
+	if !strings.Contains(errOut, "3 finding(s)") {
 		t.Errorf("stderr summary missing finding count: %q", errOut)
 	}
 }

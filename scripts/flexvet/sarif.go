@@ -69,13 +69,14 @@ type sarifRegion struct {
 }
 
 // writeSARIF renders diags as a SARIF 2.1.0 log. The rule table lists the
-// analyzers that ran plus the "flexvet" pseudo-rule that carries malformed
-// directive reports, so every result's ruleId resolves.
+// analyzers that ran plus the "flexvet" pseudo-rule that carries malformed,
+// unknown-analyzer and retired directive reports, so every result's ruleId
+// resolves.
 func writeSARIF(w io.Writer, analyzers []*lint.Analyzer, diags []lint.Diagnostic) error {
 	rules := make([]sarifRule, 0, len(analyzers)+1)
 	rules = append(rules, sarifRule{
 		ID:               "flexvet",
-		ShortDescription: sarifMessage{Text: "lint directives must parse; malformed //lint: and //flexvet: comments are reported, not ignored"},
+		ShortDescription: sarifMessage{Text: "lint directives must parse and name a registered analyzer; malformed or misnamed //lint: comments and retired //flexvet: comments are reported, not ignored"},
 	})
 	for _, a := range analyzers {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})

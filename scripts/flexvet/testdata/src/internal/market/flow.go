@@ -25,8 +25,8 @@ func (sh *shard) insertLocked(id string) {
 }
 
 // submit is the well-behaved write path: lock, journal, mutate, unlock.
-// The directive below misspells its verb, so the driver must surface it
-// instead of silently ignoring it.
+// The directive below belongs to the retired //flexvet: family, so the
+// driver must surface it instead of silently ignoring it.
 //
 //flexvet:hotpth
 func (sh *shard) submit(id string) error {
