@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint bench bench-smoke benchcmp fuzz fuzz-smoke soak soak-overload crash sched-crash verify
+.PHONY: build test race vet fmt-check lint examples bench bench-smoke benchcmp fuzz fuzz-smoke soak soak-overload crash sched-crash verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Run every example's main; `go build ./...` only compiles them. A non-zero
+# exit fails the target. Under a few seconds.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Race-detect the packages with real concurrency: the batch-extraction
 # worker pool, the market store (event stream included), its write-ahead
@@ -106,5 +111,6 @@ sched-crash:
 	$(GO) test -race -timeout 5m -run TestCrashSchedulerLedger ./internal/sched
 
 # The full pre-merge gate, and what CI runs: formatting, vet, flexvet,
-# build, test, then the race detector over the concurrent packages.
-verify: fmt-check vet lint build test race
+# build, test, the examples, then the race detector over the concurrent
+# packages.
+verify: fmt-check vet lint build test examples race

@@ -12,17 +12,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"repro/internal/agg"
-	"repro/internal/appliance"
 	"repro/internal/core"
-	"repro/internal/flexoffer"
-	"repro/internal/household"
-	"repro/internal/res"
-	"repro/internal/sched"
-	"repro/internal/timeseries"
+	"repro/internal/mirabel"
 )
 
 func main() {
@@ -31,108 +26,58 @@ func main() {
 	approach := flag.String("approach", "peak", "basic | peak | random")
 	flexPct := flag.Float64("flexpct", 0.05, "flexible share parameter")
 	seed := flag.Int64("seed", 12, "simulation seed")
-	passes := flag.Int("passes", 2, "scheduler refinement passes")
 	windScale := flag.Float64("wind-scale", 1.6, "wind farm rated power as multiple of average population load")
 	flag.Parse()
 
-	if err := run(*households, *days, *approach, *flexPct, *seed, *passes, *windScale); err != nil {
+	if err := run(os.Stdout, *households, *days, *approach, *flexPct, *seed, *windScale); err != nil {
 		fmt.Fprintf(os.Stderr, "mirabel: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(households, days int, approach string, flexPct float64, seed int64, passes int, windScale float64) error {
-	start := time.Date(2012, 6, 4, 0, 0, 0, 0, time.UTC)
-	reg := appliance.Default()
+func run(w io.Writer, households, days int, approach string, flexPct float64, seed int64, windScale float64) error {
+	var extractor func(core.Params) core.Extractor
+	switch approach {
+	case "basic":
+		extractor = func(p core.Params) core.Extractor { return &core.BasicExtractor{Params: p} }
+	case "peak":
+		extractor = func(p core.Params) core.Extractor { return &core.PeakExtractor{Params: p} }
+	case "random":
+		extractor = func(p core.Params) core.Extractor { return &core.RandomExtractor{Params: p} }
+	default:
+		return fmt.Errorf("unknown approach %q", approach)
+	}
 
-	fmt.Printf("simulating %d households x %d days ...\n", households, days)
-	cfgs := household.Population(households, seed)
-	results, popTotal, err := household.SimulatePopulation(reg, cfgs, start, days, 15*time.Minute)
+	fmt.Fprintf(w, "simulating %d households x %d days ...\n", households, days)
+	pop, err := mirabel.Simulate(households, days, seed, windScale)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("population consumption: %.0f kWh total, %.1f kWh avg/interval peak-to-average %.2f\n",
-		popTotal.Total(), popTotal.Mean(), popTotal.PeakToAverage())
+	fmt.Fprintf(w, "population consumption: %.0f kWh total, %.1f kWh avg/interval peak-to-average %.2f\n",
+		pop.Total.Total(), pop.Total.Mean(), pop.Total.PeakToAverage())
 
-	fmt.Printf("extracting flex-offers (%s, %.1f%%) ...\n", approach, flexPct*100)
-	var all flexoffer.Set
-	var inflexParts []*timeseries.Series
-	for i, r := range results {
+	fmt.Fprintf(w, "extracting flex-offers (%s, %.1f%%) ...\n", approach, flexPct*100)
+	out, err := pop.Run(func(i int) (*core.Result, error) {
 		p := core.DefaultParams()
 		p.FlexPercentage = flexPct
 		p.Seed = seed + int64(i)
-		p.ConsumerID = r.Config.ID
-		var ex core.Extractor
-		switch approach {
-		case "basic":
-			ex = &core.BasicExtractor{Params: p}
-		case "peak":
-			ex = &core.PeakExtractor{Params: p}
-		case "random":
-			ex = &core.RandomExtractor{Params: p}
-		default:
-			return fmt.Errorf("unknown approach %q", approach)
-		}
-		res, err := ex.Extract(r.Total)
-		if err != nil {
-			return fmt.Errorf("extract %s: %w", r.Config.ID, err)
-		}
-		all = append(all, res.Offers...)
-		inflexParts = append(inflexParts, res.Modified)
-	}
-	inflex, err := timeseries.Sum(inflexParts...)
+		p.ConsumerID = pop.Households[i].Config.ID
+		return extractor(p).Extract(pop.Households[i].Load)
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("extracted %d offers carrying %.0f kWh (%.2f%% of consumption)\n",
-		len(all), all.TotalAvgEnergy(), all.TotalAvgEnergy()/popTotal.Total()*100)
+	fmt.Fprintf(w, "extracted %d offers carrying %.0f kWh (%.2f%% of consumption)\n",
+		len(out.Offers), out.Offers.TotalAvgEnergy(), out.Offers.TotalAvgEnergy()/pop.Total.Total()*100)
+	fmt.Fprintf(w, "aggregated into %d offers (%.1f members each on average)\n",
+		len(out.Aggregates), float64(agg.TotalMembers(out.Aggregates))/float64(len(out.Aggregates)))
+	fmt.Fprintf(w, "wind farm rated %.0f kW produced %.0f kWh\n", pop.RatedKW, pop.Supply.Total())
 
-	aggs, err := agg.AggregateSet(all, agg.DefaultParams())
-	if err != nil {
-		return err
-	}
-	var aggOffers flexoffer.Set
-	for _, a := range aggs {
-		aggOffers = append(aggOffers, a.Offer)
-	}
-	fmt.Printf("aggregated into %d offers (%.1f members each on average)\n",
-		len(aggs), float64(agg.TotalMembers(aggs))/float64(len(aggs)))
-
-	turbine := res.DefaultTurbine()
-	turbine.RatedPowerKW = popTotal.Mean() / popTotal.Resolution().Hours() * windScale
-	supply, err := res.Simulate(res.DefaultWindModel(), turbine, start, days, 15*time.Minute, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wind farm rated %.0f kW produced %.0f kWh\n", turbine.RatedPowerKW, supply.Total())
-
-	baseline, err := sched.Imbalance(popTotal, supply)
-	if err != nil {
-		return err
-	}
-	schedule, err := (&sched.Scheduler{Passes: passes}).Schedule(aggOffers, inflex, supply)
-	if err != nil {
-		return err
-	}
-	after, err := sched.Imbalance(schedule.Demand, supply)
-	if err != nil {
-		return err
-	}
-	naive, err := sched.ScheduleAtEarliest(aggOffers, inflex)
-	if err != nil {
-		return err
-	}
-	naiveM, err := sched.Imbalance(naive.Demand, supply)
-	if err != nil {
-		return err
-	}
-
-	fmt.Println()
-	fmt.Printf("%-28s %14s %14s %10s\n", "scenario", "unmatched kWh", "spilled kWh", "RMSE")
-	fmt.Printf("%-28s %14.0f %14.0f %10.2f\n", "no flexibility", baseline.UnmatchedDemand, baseline.UnusedSupply, baseline.RMSE)
-	fmt.Printf("%-28s %14.0f %14.0f %10.2f\n", "offers at earliest start", naiveM.UnmatchedDemand, naiveM.UnusedSupply, naiveM.RMSE)
-	fmt.Printf("%-28s %14.0f %14.0f %10.2f\n", "scheduled offers", after.UnmatchedDemand, after.UnusedSupply, after.RMSE)
-	fmt.Printf("\nimbalance reduction vs no-flexibility: %.1f%% (skipped offers: %d)\n",
-		(baseline.UnmatchedDemand-after.UnmatchedDemand)/baseline.UnmatchedDemand*100, len(schedule.Skipped))
+	fmt.Fprintf(w, "\n%-28s %14s %14s %10s\n", "scenario", "unmatched kWh", "spilled kWh", "RMSE")
+	fmt.Fprintf(w, "%-28s %14.0f %14.0f %10.2f\n", "no flexibility", out.NoFlex.UnmatchedDemand, out.NoFlex.UnusedSupply, out.NoFlex.RMSE)
+	fmt.Fprintf(w, "%-28s %14.0f %14.0f %10.2f\n", "offers at earliest start", out.Earliest.UnmatchedDemand, out.Earliest.UnusedSupply, out.Earliest.RMSE)
+	fmt.Fprintf(w, "%-28s %14.0f %14.0f %10.2f\n", "scheduled offers", out.Scheduled.UnmatchedDemand, out.Scheduled.UnusedSupply, out.Scheduled.RMSE)
+	fmt.Fprintf(w, "\nimbalance reduction vs no-flexibility: %.1f%% (skipped offers: %d)\n",
+		(out.NoFlex.UnmatchedDemand-out.Scheduled.UnmatchedDemand)/out.NoFlex.UnmatchedDemand*100, len(out.Schedule.Skipped))
 	return nil
 }

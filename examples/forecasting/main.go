@@ -8,34 +8,27 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
-	"repro/internal/appliance"
 	"repro/internal/core"
-	"repro/internal/flexoffer"
 	"repro/internal/forecast"
-	"repro/internal/household"
+	"repro/internal/mirabel"
 	"repro/internal/res"
 	"repro/internal/sched"
-	"repro/internal/timeseries"
 )
 
 func main() {
-	start := time.Date(2012, 6, 4, 0, 0, 0, 0, time.UTC)
-	reg := appliance.Default()
-
-	// Four weeks of population load: 3 to train, 1 to test.
-	cfgs := household.Population(25, 4)
-	results, popTotal, err := household.SimulatePopulation(reg, cfgs, start, 28, 15*time.Minute)
+	// Four weeks of population load: 3 to train, 1 to test. The wind farm
+	// is rated at 1.5 times the mean load.
+	pop, err := mirabel.Simulate(25, 28, 4, 1.5)
 	if err != nil {
 		log.Fatal(err)
 	}
 	split := 21 * 96
-	train, err := popTotal.Slice(0, split)
+	train, err := pop.Total.Slice(0, split)
 	if err != nil {
 		log.Fatal(err)
 	}
-	test, err := popTotal.Slice(split, popTotal.Len())
+	test, err := pop.Total.Slice(split, pop.Total.Len())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,44 +48,30 @@ func main() {
 	}
 
 	// 2. Extract offers and schedule them against a *forecast* of wind.
-	var offers flexoffer.Set
-	var inflexParts []*timeseries.Series
-	for i, r := range results {
+	out, err := pop.Run(func(i int) (*core.Result, error) {
 		p := core.DefaultParams()
 		p.Seed = int64(i)
-		out, err := (&core.PeakExtractor{Params: p}).Extract(r.Total)
-		if err != nil {
-			log.Fatal(err)
-		}
-		offers = append(offers, out.Offers...)
-		inflexParts = append(inflexParts, out.Modified)
-	}
-	inflex, err := timeseries.Sum(inflexParts...)
+		return (&core.PeakExtractor{Params: p}).Extract(pop.Households[i].Load)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	turbine := res.DefaultTurbine()
-	turbine.RatedPowerKW = popTotal.Mean() / 0.25 * 1.5
-	actual, err := res.Simulate(res.DefaultWindModel(), turbine, start, 28, 15*time.Minute, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	seen := res.ForecastWithError(actual, 0.2, 99) // day-ahead wind forecast, 20% error
+	seen := res.ForecastWithError(pop.Supply, 0.2, 99) // day-ahead wind forecast, 20% error
 
-	onForecast, err := (&sched.Scheduler{}).Schedule(offers, inflex, seen)
+	onForecast, err := (&sched.Scheduler{}).Schedule(out.Offers, out.Inflexible, seen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	oracle, err := (&sched.Scheduler{}).Schedule(offers, inflex, actual)
+	oracle, err := (&sched.Scheduler{}).Schedule(out.Offers, out.Inflexible, pop.Supply)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Both schedules are judged against what the wind actually did.
-	realised, err := sched.Imbalance(onForecast.Demand, actual)
+	realised, err := sched.Imbalance(onForecast.Demand, pop.Supply)
 	if err != nil {
 		log.Fatal(err)
 	}
-	best, err := sched.Imbalance(oracle.Demand, actual)
+	best, err := sched.Imbalance(oracle.Demand, pop.Supply)
 	if err != nil {
 		log.Fatal(err)
 	}

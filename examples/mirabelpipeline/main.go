@@ -8,90 +8,45 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/agg"
-	"repro/internal/appliance"
 	"repro/internal/core"
-	"repro/internal/flexoffer"
-	"repro/internal/household"
-	"repro/internal/res"
-	"repro/internal/sched"
-	"repro/internal/timeseries"
+	"repro/internal/mirabel"
 )
 
 func main() {
-	reg := appliance.Default()
-	start := time.Date(2012, 6, 4, 0, 0, 0, 0, time.UTC)
 	const nHouseholds, days = 30, 7
 
-	// 1. Simulate the neighbourhood.
-	cfgs := household.Population(nHouseholds, 7)
-	results, popTotal, err := household.SimulatePopulation(reg, cfgs, start, days, 15*time.Minute)
+	// 1. Simulate the neighbourhood and a wind farm rated at 1.5 times its
+	// mean load.
+	pop, err := mirabel.Simulate(nHouseholds, days, 7, 1.5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("1. simulated %d households x %d days: %.0f kWh\n", nHouseholds, days, popTotal.Total())
+	fmt.Printf("1. simulated %d households x %d days: %.0f kWh\n", nHouseholds, days, pop.Total.Total())
 
-	// 2. Extract one flex-offer per household per day (peak-based).
-	var offers flexoffer.Set
-	var inflexible []*timeseries.Series
-	for i, r := range results {
+	// 2.–4. Extract one flex-offer per household per day (peak-based),
+	// aggregate, and schedule the aggregates against the wind.
+	out, err := pop.Run(func(i int) (*core.Result, error) {
 		p := core.DefaultParams()
 		p.Seed = int64(i)
-		p.ConsumerID = r.Config.ID
-		out, err := (&core.PeakExtractor{Params: p}).Extract(r.Total)
-		if err != nil {
-			log.Fatal(err)
-		}
-		offers = append(offers, out.Offers...)
-		inflexible = append(inflexible, out.Modified)
-	}
-	inflex, err := timeseries.Sum(inflexible...)
+		p.ConsumerID = pop.Households[i].Config.ID
+		return (&core.PeakExtractor{Params: p}).Extract(pop.Households[i].Load)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("2. extracted %d offers carrying %.0f kWh\n", len(offers), offers.TotalAvgEnergy())
-
-	// 3. Aggregate.
-	aggs, err := agg.AggregateSet(offers, agg.DefaultParams())
-	if err != nil {
-		log.Fatal(err)
-	}
-	var aggOffers flexoffer.Set
-	for _, a := range aggs {
-		aggOffers = append(aggOffers, a.Offer)
-	}
+	fmt.Printf("2. extracted %d offers carrying %.0f kWh\n", len(out.Offers), out.Offers.TotalAvgEnergy())
 	fmt.Printf("3. aggregated into %d offers (%.1f members each)\n",
-		len(aggs), float64(agg.TotalMembers(aggs))/float64(len(aggs)))
-
-	// 4. Schedule against wind.
-	turbine := res.DefaultTurbine()
-	turbine.RatedPowerKW = popTotal.Mean() / 0.25 * 1.5
-	supply, err := res.Simulate(res.DefaultWindModel(), turbine, start, days, 15*time.Minute, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	schedule, err := (&sched.Scheduler{}).Schedule(aggOffers, inflex, supply)
-	if err != nil {
-		log.Fatal(err)
-	}
-	before, err := sched.Imbalance(popTotal, supply)
-	if err != nil {
-		log.Fatal(err)
-	}
-	after, err := sched.Imbalance(schedule.Demand, supply)
-	if err != nil {
-		log.Fatal(err)
-	}
+		len(out.Aggregates), float64(agg.TotalMembers(out.Aggregates))/float64(len(out.Aggregates)))
 	fmt.Printf("4. scheduled %d aggregates: unmatched demand %.0f → %.0f kWh (%.1f%% better)\n",
-		len(schedule.Assignments), before.UnmatchedDemand, after.UnmatchedDemand,
-		(before.UnmatchedDemand-after.UnmatchedDemand)/before.UnmatchedDemand*100)
+		len(out.Schedule.Assignments), out.NoFlex.UnmatchedDemand, out.Scheduled.UnmatchedDemand,
+		(out.NoFlex.UnmatchedDemand-out.Scheduled.UnmatchedDemand)/out.NoFlex.UnmatchedDemand*100)
 
 	// 5. Disaggregate the first aggregate's schedule back to households.
-	if len(schedule.Assignments) > 0 {
-		target := schedule.Assignments[0]
-		for _, a := range aggs {
+	if len(out.Schedule.Assignments) > 0 {
+		target := out.Schedule.Assignments[0]
+		for _, a := range out.Aggregates {
 			if a.Offer != target.Offer {
 				continue
 			}

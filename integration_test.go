@@ -16,75 +16,50 @@ import (
 	"repro/internal/flexoffer"
 	"repro/internal/household"
 	"repro/internal/market"
+	"repro/internal/mirabel"
 	"repro/internal/res"
 	"repro/internal/sched"
 	"repro/internal/timeseries"
 )
 
-// TestEndToEndPipelineConsistency drives the whole stack and checks the
-// cross-module invariants: extraction accounting, aggregation energy
+// TestEndToEndPipelineConsistency drives the offline MIRABEL loop and checks
+// the cross-module invariants: extraction accounting, aggregation energy
 // conservation, scheduler feasibility, and disaggregation consistency —
 // the member assignments of every aggregate rebuild exactly the energy the
 // scheduler placed for it.
 func TestEndToEndPipelineConsistency(t *testing.T) {
-	cfgs := household.Population(8, 42)
-	results, popTotal, err := household.SimulatePopulation(registry, cfgs, benchStart, 3, 15*time.Minute)
+	pop, err := mirabel.Simulate(8, 3, 42, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var offers flexoffer.Set
-	var parts []*timeseries.Series
-	for i, r := range results {
+	out, err := pop.Run(func(i int) (*core.Result, error) {
+		h := pop.Households[i]
 		p := core.DefaultParams()
 		p.Seed = int64(i)
-		p.ConsumerID = r.Config.ID
-		out, err := (&core.PeakExtractor{Params: p}).Extract(r.Total)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p.ConsumerID = h.Config.ID
+		r, err := (&core.PeakExtractor{Params: p}).Extract(h.Load)
 		// Per-household extraction accounting.
-		if math.Abs(out.Modified.Total()+out.Offers.TotalAvgEnergy()-r.Total.Total()) > 1e-6 {
-			t.Fatalf("accounting broken for %s", r.Config.ID)
+		if err == nil && math.Abs(r.Modified.Total()+r.Offers.TotalAvgEnergy()-h.Load.Total()) > 1e-6 {
+			t.Errorf("accounting broken for %s", h.Config.ID)
 		}
-		offers = append(offers, out.Offers...)
-		parts = append(parts, out.Modified)
-	}
-	inflex, err := timeseries.Sum(parts...)
+		return r, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Population-level accounting.
-	if math.Abs(inflex.Total()+offers.TotalAvgEnergy()-popTotal.Total()) > 1e-6 {
+	if math.Abs(out.Inflexible.Total()+out.Offers.TotalAvgEnergy()-pop.Total.Total()) > 1e-6 {
 		t.Fatal("population accounting broken")
 	}
 
-	aggs, err := agg.AggregateSet(offers, agg.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+	if agg.TotalMembers(out.Aggregates) != len(out.Offers) {
+		t.Fatalf("aggregation lost offers: %d members vs %d offers", agg.TotalMembers(out.Aggregates), len(out.Offers))
 	}
-	if agg.TotalMembers(aggs) != len(offers) {
-		t.Fatalf("aggregation lost offers: %d members vs %d offers", agg.TotalMembers(aggs), len(offers))
-	}
-	var aggOffers flexoffer.Set
 	byOffer := make(map[*flexoffer.FlexOffer]*agg.Aggregate)
-	for _, a := range aggs {
-		aggOffers = append(aggOffers, a.Offer)
+	for _, a := range out.Aggregates {
 		byOffer[a.Offer] = a
 	}
-
-	turbine := res.DefaultTurbine()
-	turbine.RatedPowerKW = popTotal.Mean() / 0.25 * 1.5
-	supply, err := res.Simulate(res.DefaultWindModel(), turbine, benchStart, 3, 15*time.Minute, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	schedule, err := (&sched.Scheduler{}).Schedule(aggOffers, inflex, supply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, asg := range schedule.Assignments {
+	for _, asg := range out.Schedule.Assignments {
 		if err := asg.Validate(); err != nil {
 			t.Fatalf("scheduled assignment invalid: %v", err)
 		}
@@ -110,17 +85,9 @@ func TestEndToEndPipelineConsistency(t *testing.T) {
 	}
 
 	// Scheduling never makes the imbalance worse than ignoring flexibility.
-	before, err := sched.Imbalance(popTotal, supply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := sched.Imbalance(schedule.Demand, supply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.UnmatchedDemand > before.UnmatchedDemand+1e-6 {
+	if out.Scheduled.UnmatchedDemand > out.NoFlex.UnmatchedDemand+1e-6 {
 		t.Errorf("scheduling increased unmatched demand: %v -> %v",
-			before.UnmatchedDemand, after.UnmatchedDemand)
+			out.NoFlex.UnmatchedDemand, out.Scheduled.UnmatchedDemand)
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/flexoffer"
 	"repro/internal/household"
-	"repro/internal/res"
-	"repro/internal/sched"
+	"repro/internal/mirabel"
 	"repro/internal/timeseries"
 )
 
@@ -139,123 +138,59 @@ func RunE12(w io.Writer) error {
 }
 
 func runE12Sized(w io.Writer, households, days int) error {
-	cfgs := household.Population(households, 12)
-	// Simulate at 1-minute resolution so the appliance-level approach can
-	// participate; the consumption-level approaches run on the 15-minute
-	// resampling of the same population.
-	fineResults, finePopTotal, err := household.SimulatePopulation(defaultRegistry, cfgs, day0, days, time.Minute)
+	pop, err := mirabel.Simulate(households, days, 12, 1.6)
 	if err != nil {
 		return err
 	}
-	results := make([]*household.Result, len(fineResults))
-	for i, r := range fineResults {
-		quarter, err := r.Total.ResampleTo(15 * time.Minute)
+	approaches := []string{"peak", "random", "frequency"}
+	outs := make([]*mirabel.Outcome, len(approaches))
+	for k, name := range approaches {
+		outs[k], err = pop.Run(func(i int) (*core.Result, error) {
+			pp := core.DefaultParams()
+			pp.Seed = int64(1000 + i)
+			pp.ConsumerID = pop.Households[i].Config.ID
+			switch name {
+			case "peak":
+				return (&core.PeakExtractor{Params: pp}).Extract(pop.Households[i].Load)
+			case "random":
+				return (&core.RandomExtractor{Params: pp}).Extract(pop.Households[i].Load)
+			default:
+				// Appliance-level extraction needs the 1-minute series;
+				// Run resamples its modified remainder to the grid.
+				fe := &core.FrequencyExtractor{Params: pp, Registry: defaultRegistry}
+				return fe.Extract(pop.Households[i].Fine)
+			}
+		})
 		if err != nil {
 			return err
 		}
-		coarse := *r
-		coarse.Total = quarter
-		results[i] = &coarse
-	}
-	popTotal, err := finePopTotal.ResampleTo(15 * time.Minute)
-	if err != nil {
-		return err
-	}
-	// Wind sized to cover roughly the population average load.
-	turbine := res.DefaultTurbine()
-	turbine.RatedPowerKW = popTotal.Mean() / popTotal.Resolution().Hours() * 1.6
-	supply, err := res.Simulate(res.DefaultWindModel(), turbine, day0, days, 15*time.Minute, 12)
-	if err != nil {
-		return err
 	}
 
-	baseline, err := sched.Imbalance(popTotal, supply)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "population %d households x %d days; wind farm rated %.0f kW\n", households, days, turbine.RatedPowerKW)
+	baseline := outs[0].NoFlex
+	fmt.Fprintf(w, "population %d households x %d days; wind farm rated %.0f kW\n", households, days, pop.RatedKW)
 	fmt.Fprintf(w, "no-flexibility baseline: unmatched demand %.0f kWh, spilled supply %.0f kWh, RMSE %.2f\n\n",
 		baseline.UnmatchedDemand, baseline.UnusedSupply, baseline.RMSE)
 
-	t := newTable("extraction", "offers", "aggregates", "sched unmatched kWh", "improvement vs baseline", "earliest-start unmatched")
-	for _, name := range []string{"peak", "random", "frequency"} {
-		var all flexoffer.Set
-		var inflexParts []*timeseries.Series
-		for i, r := range results {
-			pp := core.DefaultParams()
-			pp.Seed = int64(1000 + i)
-			pp.ConsumerID = r.Config.ID
-			var res *core.Result
-			var err error
-			switch name {
-			case "peak":
-				res, err = (&core.PeakExtractor{Params: pp}).Extract(r.Total)
-			case "random":
-				res, err = (&core.RandomExtractor{Params: pp}).Extract(r.Total)
-			case "frequency":
-				// Appliance-level extraction runs on the household's
-				// 1-minute series; its modified remainder is resampled to
-				// the market's 15-minute grid.
-				fe := &core.FrequencyExtractor{Params: pp, Registry: defaultRegistry}
-				res, err = fe.Extract(fineResults[i].Total)
-				if err == nil {
-					res.Modified, err = res.Modified.ResampleTo(15 * time.Minute)
-				}
-			}
-			if err != nil {
-				return err
-			}
-			all = append(all, res.Offers...)
-			inflexParts = append(inflexParts, res.Modified)
+	// Offers-per-hour histogram: the peak-hour concentration that
+	// motivates testing MIRABEL scalability on realistic offers.
+	var hist [24]int
+	for _, f := range outs[0].Offers {
+		hist[f.EarliestStart.UTC().Hour()]++
+	}
+	fmt.Fprint(w, "peak-based offers per hour of day: ")
+	for h, c := range hist {
+		if c > 0 {
+			fmt.Fprintf(w, "%02d:%d ", h, c)
 		}
-		inflex, err := timeseries.Sum(inflexParts...)
-		if err != nil {
-			return err
-		}
-		aggs, err := agg.AggregateSet(all, agg.DefaultParams())
-		if err != nil {
-			return err
-		}
-		var aggOffers flexoffer.Set
-		for _, a := range aggs {
-			aggOffers = append(aggOffers, a.Offer)
-		}
-		smart, err := (&sched.Scheduler{}).Schedule(aggOffers, inflex, supply)
-		if err != nil {
-			return err
-		}
-		naive, err := sched.ScheduleAtEarliest(aggOffers, inflex)
-		if err != nil {
-			return err
-		}
-		ms, err := sched.Imbalance(smart.Demand, supply)
-		if err != nil {
-			return err
-		}
-		mn, err := sched.Imbalance(naive.Demand, supply)
-		if err != nil {
-			return err
-		}
-		improvement := (baseline.UnmatchedDemand - ms.UnmatchedDemand) / baseline.UnmatchedDemand * 100
-		t.addf("%s|%d|%d|%.0f|%.1f%%|%.0f",
-			name, len(all), len(aggs), ms.UnmatchedDemand, improvement, mn.UnmatchedDemand)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w)
 
-		if name == "peak" {
-			// Offers-per-hour histogram: the peak-hour concentration that
-			// motivates testing MIRABEL scalability on realistic offers.
-			var hist [24]int
-			for _, f := range all {
-				hist[f.EarliestStart.UTC().Hour()]++
-			}
-			fmt.Fprint(w, "peak-based offers per hour of day: ")
-			for h, c := range hist {
-				if c > 0 {
-					fmt.Fprintf(w, "%02d:%d ", h, c)
-				}
-			}
-			fmt.Fprintln(w)
-			fmt.Fprintln(w)
-		}
+	t := newTable("extraction", "offers", "aggregates", "sched unmatched kWh", "improvement vs baseline", "earliest-start unmatched")
+	for k, o := range outs {
+		improvement := (baseline.UnmatchedDemand - o.Scheduled.UnmatchedDemand) / baseline.UnmatchedDemand * 100
+		t.addf("%s|%d|%d|%.0f|%.1f%%|%.0f",
+			approaches[k], len(o.Offers), len(o.Aggregates), o.Scheduled.UnmatchedDemand, improvement, o.Earliest.UnmatchedDemand)
 	}
 	t.write(w)
 	fmt.Fprintln(w, "\nexpected shape: scheduling extracted flexibility reduces unmatched demand")

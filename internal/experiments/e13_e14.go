@@ -5,15 +5,11 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/flexoffer"
 	"repro/internal/forecast"
-	"repro/internal/household"
+	"repro/internal/mirabel"
 	"repro/internal/res"
-	"repro/internal/sched"
-	"repro/internal/timeseries"
 )
 
 // RunE13 is an extension experiment covering the paper's forecasting
@@ -27,8 +23,7 @@ func RunE13(w io.Writer) error {
 }
 
 func runE13Sized(w io.Writer, households, days int) error {
-	cfgs := household.Population(households, 13)
-	results, popTotal, err := household.SimulatePopulation(defaultRegistry, cfgs, day0, days+7, 15*time.Minute)
+	pop, err := mirabel.Simulate(households, days+7, 13, 1.5)
 	if err != nil {
 		return err
 	}
@@ -36,11 +31,11 @@ func runE13Sized(w io.Writer, households, days int) error {
 	// (a) Consumption forecasting: train on the first `days`, test on the
 	// final week.
 	split := days * 96
-	train, err := popTotal.Slice(0, split)
+	train, err := pop.Total.Slice(0, split)
 	if err != nil {
 		return err
 	}
-	test, err := popTotal.Slice(split, popTotal.Len())
+	test, err := pop.Total.Slice(split, pop.Total.Len())
 	if err != nil {
 		return err
 	}
@@ -62,47 +57,20 @@ func runE13Sized(w io.Writer, households, days int) error {
 	// (b) Scheduling against forecast wind. Extract offers over the whole
 	// horizon, schedule using forecasts of varying error, evaluate against
 	// the actual production.
-	var offers flexoffer.Set
-	var inflexParts []*timeseries.Series
-	for i, r := range results {
+	out, err := pop.Run(func(i int) (*core.Result, error) {
 		p := core.DefaultParams()
 		p.Seed = int64(i)
-		out, err := (&core.PeakExtractor{Params: p}).Extract(r.Total)
-		if err != nil {
-			return err
-		}
-		offers = append(offers, out.Offers...)
-		inflexParts = append(inflexParts, out.Modified)
-	}
-	inflex, err := timeseries.Sum(inflexParts...)
-	if err != nil {
-		return err
-	}
-	aggs, err := agg.AggregateSet(offers, agg.DefaultParams())
-	if err != nil {
-		return err
-	}
-	var aggOffers flexoffer.Set
-	for _, a := range aggs {
-		aggOffers = append(aggOffers, a.Offer)
-	}
-	turbine := res.DefaultTurbine()
-	turbine.RatedPowerKW = popTotal.Mean() / 0.25 * 1.5
-	actual, err := res.Simulate(res.DefaultWindModel(), turbine, day0, days+7, 15*time.Minute, 13)
+		return (&core.PeakExtractor{Params: p}).Extract(pop.Households[i].Load)
+	})
 	if err != nil {
 		return err
 	}
 
-	fmt.Fprintf(w, "\n(b) scheduling against forecast wind (%d aggregated offers)\n\n", len(aggOffers))
+	fmt.Fprintf(w, "\n(b) scheduling against forecast wind (%d aggregated offers)\n\n", len(out.Aggregates))
 	st := newTable("forecast error", "unmatched kWh (vs actual)", "degradation vs perfect")
 	var perfect float64
 	for _, errStd := range []float64{0, 0.1, 0.2, 0.4} {
-		seen := res.ForecastWithError(actual, errStd, 99)
-		schedule, err := (&sched.Scheduler{}).Schedule(aggOffers, inflex, seen)
-		if err != nil {
-			return err
-		}
-		m, err := sched.Imbalance(schedule.Demand, actual)
+		m, err := out.Reschedule(res.ForecastWithError(pop.Supply, errStd, 99))
 		if err != nil {
 			return err
 		}

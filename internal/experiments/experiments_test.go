@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -260,5 +262,41 @@ func TestRunE16Small(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "phase median") || !strings.Contains(out, "block quantile") {
 		t.Errorf("E16 output incomplete:\n%s", out)
+	}
+}
+
+// TestRunAllMatchesCommittedOutput pins every experiment's report to the
+// committed experiments_output.txt, byte for byte: the runs are seeded, so
+// any difference is either a deliberate change (regenerate the file) or
+// lost determinism.
+func TestRunAllMatchesCommittedOutput(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("experiments_output.txt was generated on amd64; on %s Go may fuse multiply-adds and move the last digits", runtime.GOARCH)
+	}
+	want, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := RunAll(&got); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("RunAll output differs from experiments_output.txt at line %d:\n got: %q\nwant: %q\n"+
+				"if the change is intended, regenerate the file with `go run ./cmd/experiments > experiments_output.txt` (EXPERIMENTS.md)",
+				i+1, g, w)
+		}
 	}
 }

@@ -218,11 +218,19 @@ func Simulate(reg *appliance.Registry, cfg Config, start time.Time, days int, re
 	}
 	sortActivations(activations)
 
-	// Compose and resample.
+	// Compose and resample. Each appliance is added once, in name order:
+	// ranging over the map would change the order of the float additions
+	// from run to run, and ranging over apps would count a name listed
+	// twice in cfg.Appliances twice.
+	names := make([]string, 0, len(perApp))
+	for name := range perApp {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	total := make([]float64, minutes)
 	copy(total, base)
-	for _, vals := range perApp {
-		for i, v := range vals {
+	for _, name := range names {
+		for i, v := range perApp[name] {
 			total[i] += v
 		}
 	}

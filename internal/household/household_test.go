@@ -69,6 +69,31 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
+// TestSimulateReproducible: a seeded household reproduces bit for bit.
+// Composing the total in map order changed the order of the float
+// additions between runs, so reruns of every archetype differed in the
+// last bits.
+func TestSimulateReproducible(t *testing.T) {
+	for _, cfg := range Population(len(Archetypes()), 12) {
+		first, err := Simulate(reg, cfg, t0, 7, time.Minute)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.ID, err)
+		}
+		for run := 1; run <= 10; run++ {
+			again, err := Simulate(reg, cfg, t0, 7, time.Minute)
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.ID, err)
+			}
+			for i := 0; i < first.Total.Len(); i++ {
+				if math.Float64bits(again.Total.Value(i)) != math.Float64bits(first.Total.Value(i)) {
+					t.Fatalf("%s: rerun %d differs at minute %d: %v vs %v",
+						cfg.ID, run, i, again.Total.Value(i), first.Total.Value(i))
+				}
+			}
+		}
+	}
+}
+
 // TestCompositionIdentity: total = base + sum of appliance contributions.
 func TestCompositionIdentity(t *testing.T) {
 	r, err := Simulate(reg, familyCfg(), t0, 5, 15*time.Minute)

@@ -17,10 +17,9 @@ const numStates = int(Expired) + 1
 // reader acquisitions count their wait time, the current queue depth is
 // tracked while callers block, and writer hold time is measured between
 // Lock and Unlock. The counters feed the market_shard_* metric families
-// (metrics.go), which is how flexload reports per-shard contention. The
-// meter reads the wall clock directly — lock timings are observability,
-// not replayable lifecycle state, so the injected store clock does not
-// apply.
+// that mirabeld exports on /metrics (metrics.go). The meter reads the wall
+// clock directly — lock timings are observability, not replayable
+// lifecycle state, so the injected store clock does not apply.
 type lockMeter struct {
 	mu sync.RWMutex
 
@@ -83,7 +82,7 @@ func (m *lockMeter) RLock() {
 func (m *lockMeter) RUnlock() { m.mu.RUnlock() }
 
 // ShardContention is one shard's point-in-time contention counters, as
-// exported on /metrics and echoed into flexload reports.
+// exported on /metrics.
 type ShardContention struct {
 	// Shard is the shard index.
 	Shard int `json:"shard"`

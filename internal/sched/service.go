@@ -27,8 +27,6 @@ type Config struct {
 	Store *market.Store
 	// Agg controls aggregate grouping; agg.DefaultParams() when zero.
 	Agg agg.Params
-	// Passes is the scheduler's re-insertion pass count (default 2).
-	Passes int
 	// Horizon is the scheduling horizon length (default 24 h).
 	Horizon time.Duration
 	// Resolution is the horizon grid and the slice duration conforming
@@ -77,7 +75,6 @@ type Config struct {
 // methods are safe for concurrent use.
 type Service struct {
 	cfg    Config
-	sched  Scheduler
 	inc    *agg.Incremental // immutable pointer; a resync resets it in place
 	ledger *wal.Log         // nil when running without durability
 
@@ -145,9 +142,8 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:   cfg,
-		sched: Scheduler{Passes: cfg.Passes},
-		inc:   inc,
+		cfg: cfg,
+		inc: inc,
 	}
 	if cfg.LedgerDir != "" {
 		ledger, info, err := wal.Open(wal.Options{
@@ -325,7 +321,7 @@ func (s *Service) RunOnce() (RunSummary, error) {
 		offers = append(offers, a.Offer)
 		byID[a.Offer.ID] = a
 	}
-	result, err := s.sched.Schedule(offers, inflexible, supply)
+	result, err := (&Scheduler{}).Schedule(offers, inflexible, supply)
 	if err != nil {
 		return RunSummary{}, err
 	}
