@@ -61,6 +61,8 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzOfferValidate -fuzztime 30s ./internal/flexoffer
 	$(GO) test -run XXX -fuzz FuzzReadJSON -fuzztime 30s ./internal/flexoffer
 	$(GO) test -run XXX -fuzz FuzzReadCSV -fuzztime 30s ./internal/timeseries
+	$(GO) test -run XXX -fuzz FuzzParseStamp -fuzztime 30s ./internal/timeseries
+	$(GO) test -run XXX -fuzz FuzzParseValue -fuzztime 30s ./internal/timeseries
 	$(GO) test -run XXX -fuzz FuzzSeriesJSON -fuzztime 30s ./internal/timeseries
 	$(GO) test -run XXX -fuzz FuzzSubmitBatch -fuzztime 30s ./internal/market
 	$(GO) test -run XXX -fuzz FuzzListQuery -fuzztime 30s ./internal/market
@@ -76,6 +78,8 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzOfferValidate -fuzztime 10s ./internal/flexoffer
 	$(GO) test -run XXX -fuzz FuzzReadJSON -fuzztime 10s ./internal/flexoffer
 	$(GO) test -run XXX -fuzz FuzzReadCSV -fuzztime 10s ./internal/timeseries
+	$(GO) test -run XXX -fuzz FuzzParseStamp -fuzztime 10s ./internal/timeseries
+	$(GO) test -run XXX -fuzz FuzzParseValue -fuzztime 10s ./internal/timeseries
 	$(GO) test -run XXX -fuzz FuzzSeriesJSON -fuzztime 10s ./internal/timeseries
 	$(GO) test -run XXX -fuzz FuzzSubmitBatch -fuzztime 10s ./internal/market
 	$(GO) test -run XXX -fuzz FuzzListQuery -fuzztime 10s ./internal/market

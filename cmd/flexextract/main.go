@@ -87,24 +87,23 @@ func readSeries(path string) (*timeseries.Series, error) {
 	return timeseries.ReadCSV(f)
 }
 
-// buildExtractor maps an approach name to its extractor.
+// buildExtractor maps an approach name to its extractor: the approaches
+// that need a tariff or the appliance registry here, the rest through
+// core.Approach.
 func buildExtractor(approach string, params core.Params, tou tariff.TimeOfUse) (core.Extractor, error) {
 	switch approach {
-	case "basic":
-		return &core.BasicExtractor{Params: params}, nil
-	case "peak":
-		return &core.PeakExtractor{Params: params}, nil
-	case "random":
-		return &core.RandomExtractor{Params: params}, nil
 	case "multitariff":
 		return &core.MultiTariffExtractor{Params: params, Tariff: tou}, nil
 	case "frequency":
 		return &core.FrequencyExtractor{Params: params, Registry: appliance.Default()}, nil
 	case "schedule":
 		return &core.ScheduleExtractor{Params: params, Registry: appliance.Default()}, nil
-	default:
-		return nil, fmt.Errorf("unknown approach %q", approach)
 	}
+	newExtractor, err := core.Approach(approach)
+	if err != nil {
+		return nil, err
+	}
+	return newExtractor(params), nil
 }
 
 // writeStats renders the registry as JSON to path ("-" = stdout, "" = off).

@@ -36,16 +36,9 @@ func main() {
 }
 
 func run(w io.Writer, households, days int, approach string, flexPct float64, seed int64, windScale float64) error {
-	var extractor func(core.Params) core.Extractor
-	switch approach {
-	case "basic":
-		extractor = func(p core.Params) core.Extractor { return &core.BasicExtractor{Params: p} }
-	case "peak":
-		extractor = func(p core.Params) core.Extractor { return &core.PeakExtractor{Params: p} }
-	case "random":
-		extractor = func(p core.Params) core.Extractor { return &core.RandomExtractor{Params: p} }
-	default:
-		return fmt.Errorf("unknown approach %q", approach)
+	extractor, err := core.Approach(approach)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(w, "simulating %d households x %d days ...\n", households, days)

@@ -437,19 +437,8 @@ func seedStore(ctx context.Context, store *market.Store, telemetry *pipeline.Tel
 		return fmt.Errorf("no *.csv files under %s", dir)
 	}
 
-	newExtractor := func(params core.Params) (core.Extractor, error) {
-		switch approach {
-		case "basic":
-			return &core.BasicExtractor{Params: params}, nil
-		case "peak":
-			return &core.PeakExtractor{Params: params}, nil
-		case "random":
-			return &core.RandomExtractor{Params: params}, nil
-		default:
-			return nil, fmt.Errorf("unknown seed approach %q", approach)
-		}
-	}
-	if _, err := newExtractor(core.DefaultParams()); err != nil {
+	newExtractor, err := core.Approach(approach)
+	if err != nil {
 		return err
 	}
 
@@ -480,8 +469,7 @@ func seedStore(ctx context.Context, store *market.Store, telemetry *pipeline.Tel
 			params.FlexPercentage = flexPct
 			params.Seed = seedOf[j.ID]
 			params.ConsumerID = j.ID
-			ex, _ := newExtractor(params)
-			return ex
+			return newExtractor(params)
 		},
 	}
 	stats, err := pipeline.RunJobs(ctx, cfg, batch, sink)

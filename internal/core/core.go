@@ -153,6 +153,23 @@ type Extractor interface {
 	Extract(input *timeseries.Series) (*Result, error)
 }
 
+// Approach returns the constructor of a consumption-level approach that
+// needs nothing beyond Params, by its Name: "basic", "peak" or "random"
+// (the baseline). The commands that take an approach name all map it
+// here, so they accept the same names and word the same error.
+func Approach(name string) (func(Params) Extractor, error) {
+	switch name {
+	case "basic":
+		return func(p Params) Extractor { return &BasicExtractor{Params: p} }, nil
+	case "peak":
+		return func(p Params) Extractor { return &PeakExtractor{Params: p} }, nil
+	case "random":
+		return func(p Params) Extractor { return &RandomExtractor{Params: p} }, nil
+	default:
+		return nil, fmt.Errorf("core: unknown approach %q", name)
+	}
+}
+
 // checkInput validates a consumption series for extraction.
 func checkInput(s *timeseries.Series, p Params) error {
 	if s == nil || s.Len() == 0 {

@@ -56,6 +56,35 @@ func TestParamsValidateRejections(t *testing.T) {
 	}
 }
 
+func TestApproach(t *testing.T) {
+	for _, name := range []string{"basic", "peak", "random"} {
+		newExtractor, err := Approach(name)
+		if err != nil {
+			t.Fatalf("Approach(%q): %v", name, err)
+		}
+		p := DefaultParams()
+		p.ConsumerID = "house-1"
+		ex := newExtractor(p)
+		if ex.Name() != name {
+			t.Errorf("Approach(%q) builds the %q extractor", name, ex.Name())
+		}
+		res, err := ex.Extract(shapedDay(2))
+		if err != nil || len(res.Offers) == 0 {
+			t.Fatalf("%s: Extract: %d offers, error %v", name, len(res.Offers), err)
+		}
+		for _, o := range res.Offers {
+			if o.ConsumerID != "house-1" {
+				t.Fatalf("%s: offer for consumer %q, want the Params' house-1", name, o.ConsumerID)
+			}
+		}
+	}
+	for _, name := range []string{"", "Peak", "multitariff", "frequency", "schedule", "nope"} {
+		if _, err := Approach(name); err == nil {
+			t.Errorf("Approach(%q) succeeded, want an error", name)
+		}
+	}
+}
+
 func TestCheckInput(t *testing.T) {
 	p := DefaultParams()
 	if err := checkInput(flatDay(1, 0.3), p); err != nil {

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper plus
-// the extension experiments listed in DESIGN.md (E1–E15). Each experiment
+// the extension experiments listed in DESIGN.md (E1–E16). Each experiment
 // is a self-contained function writing a textual report; cmd/experiments
 // runs them from the command line and the root benchmark suite wraps them
 // in testing.B benchmarks.

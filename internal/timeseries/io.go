@@ -43,14 +43,20 @@ func (s *Series) WriteCSV(w io.Writer) error {
 // Input without a '"' byte, which is everything WriteCSV writes, is split
 // in place: one row per line, one comma per row, the line endings and
 // blank lines treated as encoding/csv treats them, with no allocation per
-// row. Input that holds a '"' byte has quoted fields, which may hide
-// commas, quotes and newlines; it goes through encoding/csv instead
-// (readQuotedCSV). Both paths parse every field with the same
-// time.Parse and strconv.ParseFloat calls, so they accept the same
-// inputs and return bitwise the same series, which FuzzReadCSV checks.
-// A series WriteCSV could not write back, one whose span overflows a
-// time.Duration or whose instants leave the years 0000-9999 in UTC, is
-// rejected with ErrRange.
+// row. A row of the one shape WriteCSV writes, "YYYY-MM-DDTHH:MM:SSZ" and
+// a plain decimal "[-]digits[.digits]" of at most 19 significant and 19
+// fractional digits (or nothing), is parsed by integer kernels (parseRow);
+// every other row falls back to time.Parse and strconv.ParseFloat, which
+// also word its error. Input that holds a '"' byte has quoted fields,
+// which may hide commas, quotes and newlines; it goes through
+// encoding/csv and the standard parsers alone (readQuotedCSV). Both paths
+// accept the same inputs and return bitwise the same series: FuzzReadCSV
+// compares them, and the kernels are held to the standard parsers by
+// TestParseStampMatchesTimeParse, TestParseValueMatchesParseFloat,
+// FuzzParseStamp and FuzzParseValue, while TestWriteCSVRowsTakeFastPath
+// keeps WriteCSV's rows on the fast path. A series WriteCSV could not
+// write back, one whose span overflows a time.Duration or whose instants
+// leave the years 0000-9999 in UTC, is rejected with ErrRange.
 //
 // ReadCSV runs once per household file on every seed and extraction
 // batch; TestReadCSVAllocations holds it to no allocation per row.
@@ -84,28 +90,34 @@ func ReadCSV(r io.Reader) (*Series, error) {
 	if name != "timestamp" {
 		return nil, headerError(name, unit)
 	}
-	// Count the rows first, so values is made once at its final length.
-	rows := 0
-	for rest := text; rest != ""; {
-		var line string
-		if line, rest = cutLine(rest); line != "" {
-			rows++
-		}
+	// Every data row ends in a newline but perhaps the last: a bound on
+	// the row count, so values is made once.
+	rows := strings.Count(text, "\n")
+	if !strings.HasSuffix(text, "\n") {
+		rows++
 	}
 	b := seriesBuilder{values: make([]float64, 0, rows)}
-	for row := 1; row <= rows; row++ {
+	for row := 1; text != ""; {
 		var line string
-		for line == "" {
-			line, text = cutLine(text)
-			lineNo++
+		line, text = cutLine(text)
+		lineNo++
+		if line == "" {
+			continue
 		}
-		stamp, value, ok := splitRow(line)
-		if !ok {
-			return nil, rowError(row, fieldCountError(lineNo))
+		if ts, v, ok := parseRow(line); ok {
+			if err := b.push(row, ts, v); err != nil {
+				return nil, err
+			}
+		} else {
+			stamp, value, ok := splitRow(line)
+			if !ok {
+				return nil, rowError(row, fieldCountError(lineNo))
+			}
+			if err := b.add(row, stamp, value); err != nil {
+				return nil, err
+			}
 		}
-		if err := b.add(row, stamp, value); err != nil {
-			return nil, err
-		}
+		row++
 	}
 	return b.series()
 }
@@ -191,6 +203,12 @@ func (b *seriesBuilder) add(row int, stamp, value string) error {
 			return fmt.Errorf("timeseries: row %d: bad value %q: %w", row, value, err)
 		}
 	}
+	return b.push(row, ts, v)
+}
+
+// push appends data row number row, already parsed, after checking its
+// step from the previous row.
+func (b *seriesBuilder) push(row int, ts time.Time, v float64) error {
 	// Steps compare by Add, not Sub: Sub saturates beyond ~292 years, so
 	// two huge steps would compare equal.
 	switch len(b.values) {
@@ -211,10 +229,12 @@ func (b *seriesBuilder) add(row int, stamp, value string) error {
 	return nil
 }
 
-// series returns the collected series. The values are not copied. It
-// rejects a series that WriteCSV could not write back: one whose span
-// overflows a time.Duration, or whose instants leave the years
-// 0000-9999 that RFC 3339 allows once normalised to UTC.
+// series returns the collected series. The values are not copied, but
+// their capacity is cut to their length, so an Append to the series
+// never writes into the builder's slack. It rejects a series that
+// WriteCSV could not write back: one whose span overflows a
+// time.Duration, or whose instants leave the years 0000-9999 that
+// RFC 3339 allows once normalised to UTC.
 func (b *seriesBuilder) series() (*Series, error) {
 	n := len(b.values)
 	switch n {
@@ -230,7 +250,7 @@ func (b *seriesBuilder) series() (*Series, error) {
 	if first.Year() < 0 || last.Year() > 9999 {
 		return nil, fmt.Errorf("%w: %v to %v leaves the years 0000-9999", ErrRange, first, last)
 	}
-	return &Series{start: first, resolution: b.resolution, values: b.values}, nil
+	return &Series{start: first, resolution: b.resolution, values: b.values[:n:n]}, nil
 }
 
 // seriesJSON is the wire representation of a Series. NaN is not valid JSON,
