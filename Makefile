@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzParamsValidate -fuzztime 30s ./internal/core
 	$(GO) test -run XXX -fuzz FuzzOfferValidate -fuzztime 30s ./internal/flexoffer
 	$(GO) test -run XXX -fuzz FuzzReadJSON -fuzztime 30s ./internal/flexoffer
+	$(GO) test -run XXX -fuzz FuzzOfferJSON -fuzztime 30s ./internal/flexoffer
 	$(GO) test -run XXX -fuzz FuzzReadCSV -fuzztime 30s ./internal/timeseries
 	$(GO) test -run XXX -fuzz FuzzParseStamp -fuzztime 30s ./internal/timeseries
 	$(GO) test -run XXX -fuzz FuzzParseValue -fuzztime 30s ./internal/timeseries
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParamsValidate -fuzztime 10s ./internal/core
 	$(GO) test -run XXX -fuzz FuzzOfferValidate -fuzztime 10s ./internal/flexoffer
 	$(GO) test -run XXX -fuzz FuzzReadJSON -fuzztime 10s ./internal/flexoffer
+	$(GO) test -run XXX -fuzz FuzzOfferJSON -fuzztime 10s ./internal/flexoffer
 	$(GO) test -run XXX -fuzz FuzzReadCSV -fuzztime 10s ./internal/timeseries
 	$(GO) test -run XXX -fuzz FuzzParseStamp -fuzztime 10s ./internal/timeseries
 	$(GO) test -run XXX -fuzz FuzzParseValue -fuzztime 10s ./internal/timeseries

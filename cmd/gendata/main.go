@@ -107,9 +107,9 @@ func run(out string, households, days int, resStr string, seed int64, start stri
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(tf)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(truth)
+	// Compact, not indented: the file already outweighs the CSVs it
+	// describes, and indentation adds more than a quarter.
+	werr := json.NewEncoder(tf).Encode(truth)
 	if cerr := tf.Close(); werr == nil {
 		werr = cerr
 	}

@@ -483,12 +483,17 @@ func seedStore(ctx context.Context, store *market.Store, telemetry *pipeline.Tel
 		logger.Warn("seed offers dead-lettered", "job", dl.JobID, "offers", len(dl.Offers), "attempts", dl.Attempts, "err", dl.Err)
 	}
 	submitted, rejected := storeSink.Counts()
-	logger.Info("seed done",
+	kv := []any{
 		"offers", submitted, "series", stats.SeriesProcessed, "batch", len(batch),
 		"rejected", rejected, "extract_errors", stats.Errors,
 		"retries", stats.SinkRetries, "dead_lettered", stats.DeadLettered,
-		"wall", stats.Wall.Round(time.Millisecond), "speedup", fmt.Sprintf("%.2fx", stats.Speedup()),
-		"workers", stats.Workers)
+	}
+	// A pinned clock stands still, so the pipeline's wall time and
+	// speedup read zero under -clock; only the live clock measures them.
+	if clock == nil {
+		kv = append(kv, "wall", stats.Wall.Round(time.Millisecond), "speedup", fmt.Sprintf("%.2fx", stats.Speedup()))
+	}
+	logger.Info("seed done", append(kv, "workers", stats.Workers)...)
 	if rejected > 0 {
 		return fmt.Errorf("%d offers rejected by the store (first: %v); historical data may need -clock", rejected, storeSink.FirstErr())
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -254,5 +255,37 @@ func TestFaultScheduleFlag(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "faultinject_decisions") {
 		t.Fatal("fault decisions not registered on /metrics registry")
+	}
+}
+
+// TestSeedDoneLogReportsWallOnLiveClock pins both forms of the "seed
+// done" line: on the live clock it reports the pipeline's wall time and
+// speedup, and under a pinned -clock, which stands still and would make
+// both read zero, it leaves them out.
+func TestSeedDoneLogReportsWallOnLiveClock(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"a", "b", "c"} {
+		writeHouseCSV(t, filepath.Join(dir, name+".csv"), 3)
+	}
+	pinned := seedStart.Add(-48 * time.Hour)
+	live := regexp.MustCompile(`msg="seed done" offers=\d+ series=3 batch=3 rejected=0 extract_errors=0 retries=0 dead_lettered=0 wall=\S+ speedup=\d+\.\d\dx workers=2\n`)
+	clocked := regexp.MustCompile(`msg="seed done" offers=\d+ series=3 batch=3 rejected=0 extract_errors=0 retries=0 dead_lettered=0 workers=2\n`)
+	for _, c := range []struct {
+		name  string
+		clock func() time.Time
+		want  *regexp.Regexp
+	}{
+		{"live", nil, live},
+		{"pinned", func() time.Time { return pinned }, clocked},
+	} {
+		var out strings.Builder
+		logger := obs.NewLogger(&out, obs.LevelInfo)
+		store := market.NewStore(func() time.Time { return pinned })
+		if err := seedStore(context.Background(), store, nil, logger, c.clock, nil, dir, "peak", 0.05, 2); err != nil {
+			t.Fatalf("%s clock: %v", c.name, err)
+		}
+		if !c.want.MatchString(out.String()) {
+			t.Errorf("%s clock: seed log does not match %s:\n%s", c.name, c.want, out.String())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package flexoffer
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -102,6 +103,65 @@ func FuzzReadJSON(f *testing.F) {
 		}
 		if len(back) != len(set) {
 			t.Fatalf("round trip changed size: %d vs %d", len(back), len(set))
+		}
+	})
+}
+
+// FuzzOfferJSON holds AppendJSON to json.Marshal: for every offer both
+// give the same bytes, or both fail with the same error. The seeds cover
+// the fallback paths: strings encoding/json escapes (HTML characters,
+// controls, non-ASCII, invalid UTF-8), zone offsets with seconds and of
+// 24 hours or more, years outside 0000–9999, NaN and ±Inf, the float
+// format's cut-offs (1e-7, 1e21), subnormals and -0, a nil and an empty
+// profile, and TotalConstraint.
+func FuzzOfferJSON(f *testing.F) {
+	base := time.Date(2012, 6, 4, 22, 0, 0, 0, time.UTC).Unix()
+	f.Add("house-01/peak-0001", "house-01", "", base, int64(0), 0, int64(15*time.Minute), 0.5, 1.25, 4, false, 0.0, 0.0)
+	f.Add("<house&1>/peak\"2\"", "caf\u00e9\n", "dish\xffwasher\u2028", base, int64(123456789), 2*3600, int64(time.Minute), 1e-7, 1e21, 2, true, 5e-324, math.Copysign(0, -1))
+	f.Add("a", "b", "c", base, int64(999999999), 3600+30, int64(-time.Second), math.NaN(), 1.0, 1, false, 0.0, 0.0)
+	f.Add("a", "", "", base, int64(0), -(24*3600 + 60), int64(time.Hour), 0.0, 1.0, 1, false, 0.0, 0.0)
+	f.Add("a", "", "", base, int64(0), 24*3600-1, int64(time.Hour), math.Inf(-1), math.Inf(1), 1, true, 1.0, 2.0)
+	f.Add("a", "", "", int64(-62167219200-1), int64(0), 0, int64(time.Hour), 1.0, 2.0, 1, false, 0.0, 0.0)
+	f.Add("a", "", "", int64(253402300800), int64(0), 0, int64(time.Hour), 1.0, 2.0, 1, false, 0.0, 0.0)
+	f.Add("nil-profile", "", "", base, int64(0), 0, int64(0), 0.0, 0.0, -1, false, 0.0, 0.0)
+	f.Add("empty-profile", "", "", base, int64(0), 0, int64(0), 0.0, 0.0, 0, true, math.NaN(), 1e-6)
+	f.Add("subnormal", "\x7f", "", base, int64(1), -7*3600-59*60, int64(1), 2.2250738585072014e-308, 1.7976931348623157e308, 3, true, 999999999999999999999.0, 1e20)
+	f.Fuzz(func(t *testing.T, id, consumer, appliance string, sec, nsec int64, offset int,
+		dur int64, lo, hi float64, nSlices int, constraint bool, cmin, cmax float64) {
+		if nSlices > 64 {
+			return // profile length is under caller control; bound the work
+		}
+		zone := time.FixedZone("z", offset)
+		at := func(i int64) time.Time { return time.Unix(sec+i*3600, nsec).In(zone) }
+		fo := &FlexOffer{
+			ID:             id,
+			ConsumerID:     consumer,
+			Appliance:      appliance,
+			CreationTime:   at(0),
+			AcceptanceTime: at(1).UTC(),
+			AssignmentTime: at(2),
+			EarliestStart:  at(3),
+			LatestStart:    at(4),
+		}
+		if nSlices >= 0 {
+			fo.Profile = make([]Slice, nSlices)
+			for i := range fo.Profile {
+				fo.Profile[i] = Slice{Duration: time.Duration(dur) * time.Duration(i+1), MinEnergy: lo / float64(i+1), MaxEnergy: hi * float64(i+1)}
+			}
+		}
+		if constraint {
+			fo.TotalConstraint = &EnergyConstraint{Min: cmin, Max: cmax}
+		}
+		want, wantErr := json.Marshal(fo)
+		prefix := []byte("prefix:")
+		got, gotErr := fo.AppendJSON(bytes.Clone(prefix))
+		switch {
+		case wantErr != nil || gotErr != nil:
+			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+				t.Fatalf("errors differ: json.Marshal %v, AppendJSON %v", wantErr, gotErr)
+			}
+		case !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want):
+			t.Fatalf("bytes differ:\n got %s\nwant %s", got, want)
 		}
 	})
 }

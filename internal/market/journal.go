@@ -55,7 +55,8 @@ type event struct {
 
 	// offersRaw holds, for an evSubmit from Submit or SubmitBatch, each
 	// offer's JSON (marshalOffer) in Offers' order, so that encode splices
-	// the bytes in instead of encoding every offer again.
+	// the bytes in instead of encoding every offer again. Nothing keeps
+	// them after the append.
 	offersRaw []json.RawMessage
 }
 
@@ -76,16 +77,14 @@ func (ev event) encode() ([]byte, error) {
 		// zero time, which omitempty does not omit.
 		tail = `],"start":"0001-01-01T00:00:00Z"}`
 	)
-	at, err := ev.At.MarshalJSON()
-	if err != nil {
-		return nil, err
-	}
-	n := len(head) + len(at) + len(offers) + len(tail)
+	n := len(head) + len(`""`) + len(time.RFC3339Nano) + len(offers) + len(tail)
 	for _, raw := range ev.offersRaw {
 		n += len(raw) + 1
 	}
-	buf := append(make([]byte, 0, n), head...)
-	buf = append(buf, at...)
+	buf, err := flexoffer.AppendJSONTime(append(make([]byte, 0, n), head...), ev.At)
+	if err != nil {
+		return nil, err
+	}
 	buf = append(buf, offers...)
 	for i, raw := range ev.offersRaw {
 		if i > 0 {
@@ -601,12 +600,24 @@ func (j *Journal) snapshotShard(k int) error {
 	sh := j.store.shards[k]
 	js := j.shards[k]
 	// Holding the shard's read lock while reading NextLSN pins the pair:
-	// appends mutate both under the write lock, so the image is exactly
-	// the state produced by every record below lsn.
+	// appends mutate both under the write lock, so the copy is exactly
+	// the state produced by every record below lsn. Records change only
+	// under the write lock and their offers never, so copying the record
+	// values is enough, and the encoding runs after the unlock, off the
+	// shard's writers' path.
 	sh.mu.RLock()
 	lsn := js.log.NextLSN()
-	payload, err := json.Marshal(storeSnapshot{Order: sh.order, Records: sh.records})
+	order := slices.Clone(sh.order)
+	recs := make([]Record, len(order))
+	for i, id := range order {
+		recs[i] = *sh.records[id]
+	}
 	sh.mu.RUnlock()
+	snap := storeSnapshot{Order: order, Records: make(map[string]*Record, len(order))}
+	for i, id := range order {
+		snap.Records[id] = &recs[i]
+	}
+	payload, err := json.Marshal(snap)
 	if err == nil {
 		err = js.log.WriteSnapshot(lsn, payload)
 	}

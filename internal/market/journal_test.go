@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -419,6 +423,110 @@ func TestJournalMetricsExposed(t *testing.T) {
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRecoveredRecordsKeepTheirBytes reopens a 4-shard store from
+// snapshots plus a WAL tail after a crash and holds every record's
+// GET /offers/{id} body, and every page of the plain and the owner walks,
+// to the bytes they had before the crash. IDs and owners hold characters
+// encoding/json escapes, the clock has a zone offset and nanoseconds, and
+// assignments carry energies with long decimal forms.
+func TestRecoveredRecordsKeepTheirBytes(t *testing.T) {
+	dir := t.TempDir()
+	clock := &fakeClock{now: t0.Add(123456789).In(time.FixedZone("CEST", 2*60*60))}
+	owner := func(i int) string { return fmt.Sprintf("<house&%d>", i%5) }
+	submit := func(s *Store, from, to int) {
+		for i := from; i < to; i++ {
+			f := testOffer(fmt.Sprintf("%s/peak-%04d", owner(i), i))
+			f.ConsumerID = owner(i)
+			if err := s.Submit(f); err != nil {
+				t.Fatalf("Submit %d: %v", i, err)
+			}
+		}
+	}
+	move := func(s *Store, from, to int) {
+		for i := from; i < to; i++ {
+			id := fmt.Sprintf("%s/peak-%04d", owner(i), i)
+			switch i % 4 {
+			case 0:
+				if err := s.Reject(id); err != nil {
+					t.Fatalf("Reject %s: %v", id, err)
+				}
+			case 1, 2:
+				if err := s.Accept(id); err != nil {
+					t.Fatalf("Accept %s: %v", id, err)
+				}
+				if i%4 == 2 {
+					if _, err := s.Assign(id, t0.Add(7*time.Hour), []float64{0.7000000000000001, 0.55, 0.9999999, 0.5}); err != nil {
+						t.Fatalf("Assign %s: %v", id, err)
+					}
+				}
+			}
+		}
+	}
+	get := func(srv *httptest.Server, path string) string {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	// bodies records every response the recovered store must reproduce.
+	bodies := func(s *Store) map[string]string {
+		srv := httptest.NewServer(NewServer(s))
+		defer srv.Close()
+		out := make(map[string]string)
+		for _, r := range s.List() {
+			path := "/offers/" + url.PathEscape(r.Offer.ID)
+			out[path] = get(srv, path)
+		}
+		for _, filter := range []string{"", "&owner=" + url.QueryEscape(owner(3)), "&owner=" + url.QueryEscape(owner(1)) + "&state=assigned"} {
+			path := "/offers?limit=7" + filter
+			for {
+				body := get(srv, path)
+				out[path] = body
+				var page Page
+				if err := json.Unmarshal([]byte(body), &page); err != nil {
+					t.Fatalf("decode %s: %v", path, err)
+				}
+				if page.NextCursor == "" {
+					break
+				}
+				path = "/offers?limit=7" + filter + "&cursor=" + page.NextCursor
+			}
+		}
+		return out
+	}
+
+	s1, j1 := openTestJournaled(t, dir, clock, JournalOptions{Shards: 4})
+	submit(s1, 0, 40)
+	move(s1, 0, 20)
+	if err := j1.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	submit(s1, 40, 60)
+	move(s1, 20, 60)
+	before := bodies(s1)
+	closeLogs(t, j1)
+
+	s2, j2 := openTestJournaled(t, dir, clock, JournalOptions{Shards: 4})
+	if rec := j2.Recovery(); !rec.SnapshotUsed || rec.EventsReplayed == 0 {
+		t.Fatalf("recovery = %+v, want a snapshot plus a WAL tail", rec)
+	}
+	after := bodies(s2)
+	if len(after) != len(before) {
+		t.Fatalf("recovered store answers %d requests, want %d", len(after), len(before))
+	}
+	for path, want := range before {
+		if got := after[path]; got != want {
+			t.Errorf("GET %s after recovery:\n got %s\nwant %s", path, got, want)
 		}
 	}
 }

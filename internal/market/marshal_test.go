@@ -40,8 +40,7 @@ func wireOf(rec Record) recordWire {
 
 // TestRecordMarshalMatchesDefaultEncoding pins the hand-built
 // Record.MarshalJSON byte-for-byte against the default struct encoding of
-// the wire shape, with and without the cached offer bytes, across
-// lifecycle states. The journal's snapshot byte-identity property depends
+// the wire shape across lifecycle states. The journal's snapshot byte-identity property depends
 // on this staying exact.
 func TestRecordMarshalMatchesDefaultEncoding(t *testing.T) {
 	clock := func() time.Time { return t0 }
@@ -77,17 +76,6 @@ func TestRecordMarshalMatchesDefaultEncoding(t *testing.T) {
 		}
 		if string(got) != string(want) {
 			t.Errorf("record %s: hand-built marshal diverges from default encoding\n got: %s\nwant: %s", id, got, want)
-		}
-
-		// Without the insert-time cache the marshal must produce the same
-		// bytes from scratch.
-		rec.offerRaw = nil
-		fresh, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatalf("marshal uncached %s: %v", id, err)
-		}
-		if string(fresh) != string(want) {
-			t.Errorf("record %s: uncached marshal diverges\n got: %s\nwant: %s", id, fresh, want)
 		}
 
 		// The round trip must lose nothing: the decoded record carries the

@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"sort"
 )
 
 // Pagination limits for Page and the HTTP /offers endpoint.
@@ -146,11 +147,13 @@ func decodeCursor(s string) (cursor, error) {
 
 // Page returns one page of records matching q, walking the shards in
 // shard-major submission order. Each call holds at most one shard's read
-// lock at a time and touches at most Limit matching records plus the
-// non-matching records it skips, never the whole store. The returned
-// cursor resumes exactly where the walk stopped; records submitted behind
-// the cursor position are not revisited, records ahead of it appear in
-// later pages (the usual paginated-walk semantics over live data).
+// lock at a time. An owner page walks only that owner's positions in each
+// shard (the byOwner index, binary-searched from the cursor); any other
+// page touches at most Limit matching records plus the non-matching
+// records it skips, never the whole store. The returned cursor resumes
+// exactly where the walk stopped; records submitted behind the cursor
+// position are not revisited, records ahead of it appear in later pages
+// (the usual paginated-walk semantics over live data).
 //
 // A cursor is bound to the query's filter: resuming with a different
 // state or owner filter returns ErrBadRequest.
@@ -181,15 +184,6 @@ func (s *Store) Page(q ListQuery) (Page, error) {
 			want[st] = true
 		}
 	}
-	match := func(r *Record) bool {
-		if want != nil && !want[r.State] {
-			return false
-		}
-		if q.Owner != "" && r.Offer.ConsumerID != q.Owner {
-			return false
-		}
-		return true
-	}
 
 	page := Page{Records: []Record{}}
 	// A cursor pointing past the last shard (the store has not grown a
@@ -202,18 +196,51 @@ func (s *Store) Page(q ListQuery) (Page, error) {
 			pos = start.Pos
 		}
 		sh.mu.RLock()
-		for ; pos < len(sh.order); pos++ {
-			if len(page.Records) == limit {
-				sh.mu.RUnlock()
-				page.NextCursor = encodeCursor(cursor{Shard: si, Pos: pos, States: key, Owner: q.Owner})
-				return page, nil
-			}
-			r := sh.records[sh.order[pos]]
-			if match(r) {
-				page.Records = append(page.Records, *r)
-			}
+		if len(page.Records) < limit {
+			pos = sh.walkLocked(q.Owner, want, pos, limit, &page.Records)
 		}
+		more := pos < len(sh.order)
 		sh.mu.RUnlock()
+		// A full page ends at the next position of the walk, whatever
+		// record it holds; there is none after the store's last record.
+		if len(page.Records) == limit && more {
+			page.NextCursor = encodeCursor(cursor{Shard: si, Pos: pos, States: key, Owner: q.Owner})
+			return page, nil
+		}
 	}
 	return page, nil
+}
+
+// walkLocked appends to out the shard's records from position pos on that
+// match the owner (empty: any) and the states in want (nil: any), until
+// out holds limit records. It returns the position after the last record
+// appended when out fills, and a position at or past the end of order
+// when the shard runs out first. Callers hold at least the read lock.
+func (sh *shard) walkLocked(owner string, want map[State]bool, pos, limit int, out *[]Record) int {
+	if owner != "" {
+		positions := sh.byOwner[owner]
+		for i := sort.SearchInts(positions, pos); i < len(positions); i++ {
+			p := positions[i]
+			r := sh.records[sh.order[p]]
+			if want != nil && !want[r.State] {
+				continue
+			}
+			*out = append(*out, *r)
+			if len(*out) == limit {
+				return p + 1
+			}
+		}
+		return max(pos, len(sh.order))
+	}
+	for ; pos < len(sh.order); pos++ {
+		r := sh.records[sh.order[pos]]
+		if want != nil && !want[r.State] {
+			continue
+		}
+		*out = append(*out, *r)
+		if len(*out) == limit {
+			return pos + 1
+		}
+	}
+	return pos
 }

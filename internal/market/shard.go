@@ -2,7 +2,6 @@ package market
 
 import (
 	"container/heap"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -144,6 +143,12 @@ type shard struct {
 	// order is the shard-local submission order, append-only; listing
 	// cursors index into it, so positions are stable forever.
 	order []string // guarded by mu
+	// byOwner lists, per ConsumerID, the owner's positions in order,
+	// ascending and append-only like order itself, so an owner page
+	// walks the owner's records instead of the shard (query.go). Offers
+	// without a ConsumerID are not indexed: an empty owner filter means
+	// every owner.
+	byOwner map[string][]int // guarded by mu
 	// byState[st] lists the IDs that entered state st, append-only with
 	// lazy deletion: an entry whose record has moved on is skipped at
 	// read time. A record enters each state at most once (the lifecycle
@@ -177,7 +182,7 @@ type shard struct {
 }
 
 func newShard(idx int) *shard {
-	return &shard{idx: idx, records: make(map[string]*Record)}
+	return &shard{idx: idx, records: make(map[string]*Record), byOwner: make(map[string][]int)}
 }
 
 // journalLocked persists ev through the shard's attached journal, if any,
@@ -194,16 +199,10 @@ func (sh *shard) journalLocked(_ writeLocked, ev event) (journaled, error) {
 }
 
 // insertLocked adds a freshly submitted record and maintains every index.
-// It keeps the record's offerRaw when the submitter encoded the offer, and
-// encodes it otherwise (replay).
 func (sh *shard) insertLocked(rc journaled, f *Record) {
 	id := f.Offer.ID
-	if f.offerRaw == nil {
-		if b, err := json.Marshal(f.Offer); err == nil {
-			f.offerRaw = b
-		}
-	}
 	sh.records[id] = f
+	sh.indexOwnerLocked(f.Offer.ConsumerID, len(sh.order))
 	sh.order = append(sh.order, id)
 	sh.byState[Offered] = append(sh.byState[Offered], id)
 	sh.counts[Offered]++
@@ -212,6 +211,14 @@ func (sh *shard) insertLocked(rc journaled, f *Record) {
 		heap.Push(&sh.expiry, expiryEntry{at: f.Offer.AcceptanceTime, id: id, state: Offered})
 	}
 	sh.publishLocked(rc, EventSubmitted, f, f.SubmittedAt)
+}
+
+// indexOwnerLocked records that owner's next offer sits at position pos
+// of order.
+func (sh *shard) indexOwnerLocked(owner string, pos int) {
+	if owner != "" {
+		sh.byOwner[owner] = append(sh.byOwner[owner], pos)
+	}
 }
 
 // transitionLocked moves a record to state `to` at time `at` and
@@ -269,15 +276,17 @@ func (sh *shard) rollbackLocked(_ writeLocked, due []expiryEntry) {
 }
 
 // rebuildIndexesLocked derives every index (order stays as loaded) from
-// the records map after a snapshot restore: per-state lists, counts,
-// energy and the expiry heap.
+// the records map after a snapshot restore: owner positions, per-state
+// lists, counts, energy and the expiry heap.
 func (sh *shard) rebuildIndexesLocked(_ writeLocked) {
+	sh.byOwner = make(map[string][]int)
 	sh.byState = [numStates][]string{}
 	sh.counts = [numStates]int{}
 	sh.energy = 0
 	sh.expiry = sh.expiry[:0]
-	for _, id := range sh.order {
+	for pos, id := range sh.order {
 		r := sh.records[id]
+		sh.indexOwnerLocked(r.Offer.ConsumerID, pos)
 		sh.counts[r.State]++
 		sh.byState[r.State] = append(sh.byState[r.State], id)
 		if nonTerminal(r.State) {

@@ -119,109 +119,92 @@ type Record struct {
 	SubmittedAt time.Time             `json:"submitted_at"`
 	DecidedAt   time.Time             `json:"decided_at,omitempty"`
 	Assignment  *flexoffer.Assignment `json:"assignment,omitempty"`
-
-	// offerRaw caches the offer's JSON. Submit and SubmitBatch encode it
-	// once, outside the shard lock, and journal the same bytes in the
-	// submit event; replay encodes it at insert. The offer is immutable
-	// for the record's lifetime while listings re-encode it on every
-	// page, so the cache turns the dominant cost of a 100-record page
-	// from reflection into a memcpy. Nil (hand-built literals, an offer
-	// that does not encode) falls back to a fresh marshal.
-	offerRaw json.RawMessage
 }
 
-// recordAssignment is the assignment's shape inside a record's wire form:
-// start and energies only. The full Assignment embeds its offer, which in
-// a record sits right next to it — emitting it twice doubled every
-// assigned record on the wire. UnmarshalJSON reattaches the record's
-// offer, so the round trip loses nothing (the WAL's assign events
-// normalise the same way).
-type recordAssignment struct {
-	Start    time.Time `json:"start"`
-	Energies []float64 `json:"energies_kwh"`
-}
-
-// recordWireJSON mirrors Record's wire form for decoding; the offer slot
-// stays raw so it can seed the marshal cache.
+// recordWireJSON mirrors Record's wire form for decoding. The assignment
+// carries start and energies only: the full Assignment embeds its offer,
+// which in a record sits right next to it, so emitting it again would
+// double every assigned record on the wire. UnmarshalJSON reattaches the
+// record's offer, so the round trip loses nothing (the WAL's assign
+// events normalise the same way).
 type recordWireJSON struct {
-	Offer       json.RawMessage   `json:"offer"`
-	State       State             `json:"state"`
-	SubmittedAt time.Time         `json:"submitted_at"`
-	DecidedAt   time.Time         `json:"decided_at"`
-	Assignment  *recordAssignment `json:"assignment"`
+	Offer       *flexoffer.FlexOffer `json:"offer"`
+	State       State                `json:"state"`
+	SubmittedAt time.Time            `json:"submitted_at"`
+	DecidedAt   time.Time            `json:"decided_at"`
+	Assignment  *struct {
+		Start    time.Time `json:"start"`
+		Energies []float64 `json:"energies_kwh"`
+	} `json:"assignment"`
 }
 
 // MarshalJSON emits the record's wire form (docs/API.md): the offer, its
 // lifecycle fields, and — once assigned — the assignment as start plus
-// energies, without repeating the offer. The bytes are assembled by hand,
-// reusing the offer JSON cached at insert; a 100-record page is the
-// market's hottest response, and this turns its encoding cost from the
-// dominant term into a series of copies.
+// energies, without repeating the offer. The bytes are assembled by hand
+// (appendJSON) and equal the default encoding of that shape.
 func (r Record) MarshalJSON() ([]byte, error) {
 	return r.appendJSON(make([]byte, 0, 1280))
 }
 
 // appendJSON appends the record's wire form to buf; Page.MarshalJSON
-// stitches whole pages into one buffer through it. It runs once per record
-// on every listing page; TestPageMarshalAllocations bounds its allocations.
+// stitches whole pages into one buffer through it, and snapshots and
+// GET /offers/{id} encode through MarshalJSON. The offer goes through
+// FlexOffer.AppendJSON, so a record allocates nothing when buf has room;
+// TestPageMarshalAllocations holds a whole page to its one buffer.
 func (r Record) appendJSON(buf []byte) ([]byte, error) {
-	raw := r.offerRaw
-	if raw == nil {
-		b, err := json.Marshal(r.Offer)
-		if err != nil {
-			return nil, err
-		}
-		raw = b
-	}
+	var err error
 	buf = append(buf, `{"offer":`...)
-	buf = append(buf, raw...)
+	if buf, err = r.Offer.AppendJSON(buf); err != nil {
+		return nil, err
+	}
 	buf = append(buf, `,"state":"`...)
 	buf = append(buf, r.State.String()...)
-	buf = append(buf, `","submitted_at":"`...)
-	buf = r.SubmittedAt.AppendFormat(buf, time.RFC3339Nano)
+	buf = append(buf, `","submitted_at":`...)
+	if buf, err = flexoffer.AppendJSONTime(buf, r.SubmittedAt); err != nil {
+		return nil, err
+	}
 	// The decided_at tag says omitempty, but a time.Time is a struct so
 	// the default encoder always emitted it — keep that shape.
-	buf = append(buf, `","decided_at":"`...)
-	buf = r.DecidedAt.AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, '"')
-	if r.Assignment != nil {
-		buf = append(buf, `,"assignment":`...)
-		ab, err := json.Marshal(recordAssignment{Start: r.Assignment.Start, Energies: r.Assignment.Energies})
-		if err != nil {
+	buf = append(buf, `,"decided_at":`...)
+	if buf, err = flexoffer.AppendJSONTime(buf, r.DecidedAt); err != nil {
+		return nil, err
+	}
+	if a := r.Assignment; a != nil {
+		buf = append(buf, `,"assignment":{"start":`...)
+		if buf, err = flexoffer.AppendJSONTime(buf, a.Start); err != nil {
 			return nil, err
 		}
-		buf = append(buf, ab...)
+		buf = append(buf, `,"energies_kwh":`...)
+		if a.Energies == nil {
+			buf = append(buf, "null"...)
+		} else {
+			buf = append(buf, '[')
+			for i, e := range a.Energies {
+				if i > 0 {
+					buf = append(buf, ',')
+				}
+				if buf, err = flexoffer.AppendJSONFloat(buf, e); err != nil {
+					return nil, err
+				}
+			}
+			buf = append(buf, ']')
+		}
+		buf = append(buf, '}')
 	}
 	return append(buf, '}'), nil
 }
 
 // UnmarshalJSON decodes the wire form MarshalJSON produces, reattaching
-// the record's offer to its assignment and seeding the offer-JSON
-// marshal cache with the bytes as received, so a decode/encode round
-// trip (snapshot restore, client relay) is byte-identical.
+// the record's offer to its assignment, so a decode/encode round trip
+// (snapshot restore, client relay) is byte-identical.
 func (r *Record) UnmarshalJSON(data []byte) error {
 	var w recordWireJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	var offer *flexoffer.FlexOffer
-	if len(w.Offer) > 0 && string(w.Offer) != "null" {
-		offer = new(flexoffer.FlexOffer)
-		if err := json.Unmarshal(w.Offer, offer); err != nil {
-			return err
-		}
-	} else {
-		w.Offer = nil
-	}
-	*r = Record{
-		Offer:       offer,
-		State:       w.State,
-		SubmittedAt: w.SubmittedAt,
-		DecidedAt:   w.DecidedAt,
-		offerRaw:    append(json.RawMessage(nil), w.Offer...),
-	}
+	*r = Record{Offer: w.Offer, State: w.State, SubmittedAt: w.SubmittedAt, DecidedAt: w.DecidedAt}
 	if w.Assignment != nil {
-		r.Assignment = &flexoffer.Assignment{Offer: offer, Start: w.Assignment.Start, Energies: w.Assignment.Energies}
+		r.Assignment = &flexoffer.Assignment{Offer: w.Offer, Start: w.Assignment.Start, Energies: w.Assignment.Energies}
 	}
 	return nil
 }
@@ -323,16 +306,19 @@ func (s *Store) Submit(f *flexoffer.FlexOffer) error {
 	if err != nil {
 		return err
 	}
-	sh.insertLocked(rc, &Record{Offer: offer, State: Offered, SubmittedAt: now, offerRaw: raw})
+	sh.insertLocked(rc, &Record{Offer: offer, State: Offered, SubmittedAt: now})
 	return nil
 }
 
-// marshalOffer encodes an offer for a record's offerRaw and its submit
-// event. Submit and SubmitBatch call it before they take the shard lock.
-// An offer that does not encode (an infinite energy bound) yields nil,
-// which leaves both to encode it themselves and fail as they always have.
+// marshalOffer encodes an offer for its submit event. Submit and
+// SubmitBatch call it before they take the shard lock; the bytes live
+// until the event is journaled, and the record keeps none. The buffer is
+// sized for an offer's fields plus its slices, so the encoding rarely
+// regrows it. An offer that does not encode (an infinite energy bound)
+// yields nil, which leaves event.encode to encode the event whole and
+// fail as it always has.
 func marshalOffer(f *flexoffer.FlexOffer) json.RawMessage {
-	raw, err := json.Marshal(f)
+	raw, err := f.AppendJSON(make([]byte, 0, 384+128*len(f.Profile)))
 	if err != nil {
 		return nil
 	}
@@ -482,7 +468,7 @@ func (s *Store) SubmitBatch(offers flexoffer.Set) BatchResult {
 			continue
 		}
 		for _, p := range accepted {
-			sh.insertLocked(rc, &Record{Offer: p.f, State: Offered, SubmittedAt: now, offerRaw: p.raw})
+			sh.insertLocked(rc, &Record{Offer: p.f, State: Offered, SubmittedAt: now})
 			res.Accepted++
 		}
 		sh.mu.Unlock()

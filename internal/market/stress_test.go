@@ -73,7 +73,9 @@ func testStoreConcurrentLifecycle(t *testing.T, shards int) {
 				if i%5 == 0 {
 					lead = nearLead
 				}
-				if err := store.Submit(stressOffer(id, clock(), lead)); err != nil {
+				f := stressOffer(id, clock(), lead)
+				f.ConsumerID = fmt.Sprintf("owner-%d", w%3)
+				if err := store.Submit(f); err != nil {
 					// Near-lead offers may race the sweeper's clock jumps.
 					if !errors.Is(err, ErrDeadline) {
 						t.Errorf("submit %s: %v", id, err)
@@ -127,7 +129,8 @@ func testStoreConcurrentLifecycle(t *testing.T, shards int) {
 			store.ExpireOverdue()
 		}
 	}()
-	// Readers: exercise every read path concurrently.
+	// Readers: exercise every read path concurrently, owner pages (the
+	// owner index) and page encoding included.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -137,6 +140,21 @@ func testStoreConcurrentLifecycle(t *testing.T, shards int) {
 				store.List(Offered, Accepted)
 				store.AcceptedOffers()
 				store.Get(fmt.Sprintf("w0-%03d", i%perWorker))
+				for _, q := range []ListQuery{
+					{Owner: fmt.Sprintf("owner-%d", i%3), Limit: 7},
+					{Owner: fmt.Sprintf("owner-%d", i%3), States: []State{Accepted, Assigned}, Limit: 7},
+					{States: []State{Offered}, Limit: 7},
+				} {
+					page, err := store.Page(q)
+					if err != nil {
+						t.Errorf("Page(%+v): %v", q, err)
+						return
+					}
+					if _, err := page.MarshalJSON(); err != nil {
+						t.Errorf("marshal page: %v", err)
+						return
+					}
+				}
 			}
 		}()
 	}
@@ -157,6 +175,31 @@ func testStoreConcurrentLifecycle(t *testing.T, shards int) {
 	}
 	if int64(counts.Assigned) != assigned.Load() {
 		t.Fatalf("assigned %d, want %d", counts.Assigned, assigned.Load())
+	}
+	// The owner index saw every concurrent insert: the owners' walks
+	// together visit every record once.
+	walked := 0
+	for o := 0; o < 3; o++ {
+		q := ListQuery{Owner: fmt.Sprintf("owner-%d", o), Limit: 13}
+		for {
+			page, err := store.Page(q)
+			if err != nil {
+				t.Fatalf("Page(%+v): %v", q, err)
+			}
+			for _, r := range page.Records {
+				if r.Offer.ConsumerID != q.Owner {
+					t.Fatalf("owner %s's walk returned %s of %s", q.Owner, r.Offer.ID, r.Offer.ConsumerID)
+				}
+			}
+			walked += len(page.Records)
+			if page.NextCursor == "" {
+				break
+			}
+			q.Cursor = page.NextCursor
+		}
+	}
+	if walked != total {
+		t.Fatalf("owner walks visited %d records, the store holds %d", walked, total)
 	}
 	seen := make(map[string]bool, len(records))
 	for _, r := range records {

@@ -49,6 +49,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,6 +57,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -263,60 +265,64 @@ func Open(opts Options) (*Log, RecoveryInfo, error) {
 
 	var info RecoveryInfo
 	l := &Log{opts: opts}
-	if len(segs) == 0 {
-		l.nextLSN = 0
-	} else {
+	if len(segs) > 0 {
 		l.nextLSN = segs[0].base
-		for i, seg := range segs {
-			path := filepath.Join(opts.Dir, seg.name)
-			if seg.base != l.nextLSN {
-				return nil, info, fmt.Errorf("%w: segment %s starts at lsn %d, want %d",
-					ErrCorrupt, seg.name, seg.base, l.nextLSN)
-			}
-			data, err := readFile(opts.FS, path)
-			if err != nil {
-				return nil, info, fmt.Errorf("wal: read %s: %w", seg.name, err)
-			}
-			n, valid, scanErr := scanRecords(data, nil)
-			l.nextLSN += n
-			info.Records += n
-			if scanErr == nil {
-				continue
-			}
-			if i != len(segs)-1 {
-				return nil, info, fmt.Errorf("%w: segment %s: %v", ErrCorrupt, seg.name, scanErr)
-			}
-			// Damage in the newest segment: a torn tail-append explains a
-			// bad final record, but never a bad record with a valid one
-			// after it.
-			if recordAfter(data[valid:]) {
-				return nil, info, fmt.Errorf("%w: segment %s: %v is followed by a valid record; refusing to drop interior data",
-					ErrCorrupt, seg.name, scanErr)
-			}
-			if err := truncateFile(opts.FS, path, int64(valid)); err != nil {
-				return nil, info, fmt.Errorf("wal: truncate torn tail of %s: %w", seg.name, err)
-			}
-			info.TornTail = true
-			info.TornBytes = int64(len(data) - valid)
-		}
-		l.segments = segs
 	}
+	var sc segmentScanner
+	for i, seg := range segs {
+		path := filepath.Join(opts.Dir, seg.name)
+		if seg.base != l.nextLSN {
+			return nil, info, fmt.Errorf("%w: segment %s starts at lsn %d, want %d",
+				ErrCorrupt, seg.name, seg.base, l.nextLSN)
+		}
+		n, valid, scanErr, err := sc.scan(opts.FS, path, nil)
+		if err != nil {
+			return nil, info, fmt.Errorf("wal: read %s: %w", seg.name, err)
+		}
+		l.nextLSN += n
+		info.Records += n
+		l.curSize = valid
+		if scanErr == nil {
+			continue
+		}
+		if i != len(segs)-1 {
+			return nil, info, fmt.Errorf("%w: segment %s: %v", ErrCorrupt, seg.name, scanErr)
+		}
+		// Damage in the newest segment: a torn tail-append explains a bad
+		// final record, but never a bad record with a valid one after it.
+		// Only this rare path reads the segment whole, to look past the
+		// damage.
+		data, err := readFile(opts.FS, path)
+		if err != nil {
+			return nil, info, fmt.Errorf("wal: read %s: %w", seg.name, err)
+		}
+		if int64(len(data)) < valid {
+			return nil, info, fmt.Errorf("wal: %s shrank to %d bytes while it was read", seg.name, len(data))
+		}
+		if recordAfter(data[valid:]) {
+			return nil, info, fmt.Errorf("%w: segment %s: %v is followed by a valid record; refusing to drop interior data",
+				ErrCorrupt, seg.name, scanErr)
+		}
+		if err := truncateFile(opts.FS, path, valid); err != nil {
+			return nil, info, fmt.Errorf("wal: truncate torn tail of %s: %w", seg.name, err)
+		}
+		info.TornTail = true
+		info.TornBytes = int64(len(data)) - valid
+	}
+	l.segments = segs
 	if len(l.segments) == 0 {
 		if err := l.rotateLocked(); err != nil {
 			return nil, info, err
 		}
 	} else {
+		// curSize is the newest segment's valid length from the scan: its
+		// whole size, or the size it was just truncated to.
 		last := l.segments[len(l.segments)-1]
 		f, err := opts.FS.OpenFile(filepath.Join(opts.Dir, last.name), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, info, fmt.Errorf("wal: open %s: %w", last.name, err)
 		}
 		l.cur = f
-		l.curSize, err = segmentSize(opts.FS, filepath.Join(opts.Dir, last.name))
-		if err != nil {
-			f.Close()
-			return nil, info, err
-		}
 	}
 	info.Segments = len(l.segments)
 	info.NextLSN = l.nextLSN
@@ -366,16 +372,6 @@ func parseSegmentName(name string) (uint64, bool) {
 	return base, true
 }
 
-// segmentSize reads a segment's current size by reading it; FS carries no
-// Stat, and segments are bounded by SegmentBytes so a read stays cheap.
-func segmentSize(fs FS, path string) (int64, error) {
-	data, err := readFile(fs, path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: size %s: %w", path, err)
-	}
-	return int64(len(data)), nil
-}
-
 // truncateFile cuts a file down to size through fs.
 func truncateFile(fs FS, path string, size int64) error {
 	f, err := fs.OpenFile(path, os.O_WRONLY, 0)
@@ -415,39 +411,79 @@ func unframeRecord(data []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// scanRecords walks data record by record, calling fn (when non-nil) with
-// each payload. It returns the number of valid records, the byte offset
-// up to which the data parsed cleanly, and the error describing the first
-// bad record (nil when the whole buffer parsed).
-func scanRecords(data []byte, fn func(payload []byte) error) (n uint64, valid int, err error) {
-	off := 0
-	for off < len(data) {
-		rest := len(data) - off
-		if rest < headerSize {
-			return n, off, fmt.Errorf("truncated header at offset %d (%d bytes)", off, rest)
+// scanChunk bounds how far a segment scan grows its payload buffer ahead
+// of the bytes it has read, so a damaged length field cannot make it
+// allocate MaxRecordBytes for a record the file does not hold.
+const scanChunk = 64 << 10
+
+// segmentScanner reads segment files record by record through one
+// buffered reader and one payload buffer, both reused from segment to
+// segment. The buffer grows to the largest record read, so a scan holds
+// one record in memory, not the segment.
+type segmentScanner struct {
+	br      *bufio.Reader
+	payload []byte
+}
+
+// scan reads the segment file at path, calling fn (when non-nil) with
+// each record's payload, which is valid only during the call. It returns
+// the number of valid records, the byte offset up to which the file
+// parsed cleanly, and scanErr describing the first bad record or fn's
+// error (nil when the whole file parsed). err reports that the file could
+// not be read.
+func (sc *segmentScanner) scan(fs FS, path string, fn func(payload []byte) error) (n uint64, valid int64, scanErr, err error) {
+	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	defer f.Close()
+	if sc.br == nil {
+		sc.br = bufio.NewReaderSize(f, scanChunk)
+	} else {
+		sc.br.Reset(f)
+	}
+	var hdr [headerSize]byte
+	for {
+		m, err := io.ReadFull(sc.br, hdr[:])
+		switch {
+		case err == io.EOF:
+			return n, valid, nil, nil
+		case err == io.ErrUnexpectedEOF:
+			return n, valid, fmt.Errorf("truncated header at offset %d (%d bytes)", valid, m), nil
+		case err != nil:
+			return n, valid, nil, err
 		}
-		length := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
+		length := binary.LittleEndian.Uint32(hdr[:])
+		sum := binary.LittleEndian.Uint32(hdr[4:])
 		if length > MaxRecordBytes {
-			return n, off, fmt.Errorf("implausible record length %d at offset %d", length, off)
+			return n, valid, fmt.Errorf("implausible record length %d at offset %d", length, valid), nil
 		}
-		end := off + headerSize + int(length)
-		if end > len(data) {
-			return n, off, fmt.Errorf("truncated payload at offset %d (want %d bytes, have %d)", off, length, rest-headerSize)
+		payload := sc.payload[:0]
+		for len(payload) < int(length) {
+			chunk := min(int(length)-len(payload), scanChunk)
+			payload = slices.Grow(payload, chunk)
+			m, err := io.ReadFull(sc.br, payload[len(payload):len(payload)+chunk])
+			payload = payload[:len(payload)+m]
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				sc.payload = payload
+				return n, valid, fmt.Errorf("truncated payload at offset %d (want %d bytes, have %d)", valid, length, len(payload)), nil
+			}
+			if err != nil {
+				return n, valid, nil, err
+			}
 		}
-		payload := data[off+headerSize : end]
+		sc.payload = payload
 		if crc32.Checksum(payload, castagnoli) != sum {
-			return n, off, fmt.Errorf("checksum mismatch at offset %d", off)
+			return n, valid, fmt.Errorf("checksum mismatch at offset %d", valid), nil
 		}
 		if fn != nil {
 			if err := fn(payload); err != nil {
-				return n, off, err
+				return n, valid, err, nil
 			}
 		}
 		n++
-		off = end
+		valid += headerSize + int64(length)
 	}
-	return n, off, nil
 }
 
 // recordAfter reports whether any byte offset in data starts a valid
@@ -626,14 +662,18 @@ func (l *Log) Stats() Stats {
 }
 
 // ReplayFrom reads every record with LSN >= from, in order, calling fn
-// with each. An error from fn aborts the replay and is returned. ReplayFrom
-// must not run concurrently with Append (recovery runs before serving).
+// with each. The payload is valid only during the call: the segments are
+// read through one reused buffer, so replay holds one record in memory,
+// not a segment, and fn must copy what it keeps. An error from fn aborts
+// the replay and is returned. ReplayFrom must not run concurrently with
+// Append (recovery runs before serving).
 func (l *Log) ReplayFrom(from uint64, fn func(lsn uint64, payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
+	var sc segmentScanner
 	for i, seg := range l.segments {
 		segEnd := l.nextLSN
 		if i+1 < len(l.segments) {
@@ -642,18 +682,18 @@ func (l *Log) ReplayFrom(from uint64, fn func(lsn uint64, payload []byte) error)
 		if segEnd <= from {
 			continue
 		}
-		data, err := readFile(l.opts.FS, filepath.Join(l.opts.Dir, seg.name))
+		lsn := seg.base
+		_, _, scanErr, err := sc.scan(l.opts.FS, filepath.Join(l.opts.Dir, seg.name), func(payload []byte) error {
+			at := lsn
+			lsn++
+			if at < from {
+				return nil
+			}
+			return fn(at, payload)
+		})
 		if err != nil {
 			return fmt.Errorf("wal: read %s: %w", seg.name, err)
 		}
-		lsn := seg.base
-		_, _, scanErr := scanRecords(data, func(payload []byte) error {
-			defer func() { lsn++ }()
-			if lsn < from {
-				return nil
-			}
-			return fn(lsn, payload)
-		})
 		if scanErr != nil {
 			return fmt.Errorf("%w: segment %s: %v", ErrCorrupt, seg.name, scanErr)
 		}
