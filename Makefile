@@ -117,6 +117,7 @@ sched-crash:
 	$(GO) test -race -timeout 5m -run TestCrashSchedulerLedger ./internal/sched
 
 # The full pre-merge gate, and what CI runs: formatting, vet, flexvet,
-# build, test, the examples, then the race detector over the concurrent
-# packages.
-verify: fmt-check vet lint build test examples race
+# build, test, the examples, the race detector over the concurrent
+# packages, then the bench/ module's build and tests, which `go test ./...`
+# cannot reach.
+verify: fmt-check vet lint build test examples race bench-smoke

@@ -26,7 +26,6 @@ import (
 	"repro/internal/household"
 	"repro/internal/market"
 	"repro/internal/paperdata"
-	"repro/internal/patterns"
 	"repro/internal/pipeline"
 	"repro/internal/res"
 	"repro/internal/sched"
@@ -463,17 +462,6 @@ func BenchmarkForecastHoltWinters(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := m.Forecast(96 * 7); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMotifDiscovery: SAX motif search over a household week.
-func BenchmarkMotifDiscovery(b *testing.B) {
-	fixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := patterns.FindMotifs(weekSeries, 96, 8, 4, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -635,8 +635,8 @@ func overloadHandler(store *market.Store, kpiSvc *kpi.Service) (http.Handler, *a
 		mux.ServeHTTP(w, r)
 	})
 	ctrl := admission.NewController(admission.Config{
-		Reads:  admission.Limits{MaxConcurrent: 2, MaxQueue: 2, MaxWait: 5 * time.Millisecond, RetryAfter: time.Second},
-		Writes: admission.Limits{MaxConcurrent: 2, MaxQueue: 2, MaxWait: 5 * time.Millisecond, RetryAfter: time.Second},
+		Reads:  admission.Limits{MaxConcurrent: 2, MaxQueue: 2, MaxWait: 5 * time.Millisecond},
+		Writes: admission.Limits{MaxConcurrent: 2, MaxQueue: 2, MaxWait: 5 * time.Millisecond},
 	})
 	admission.RegisterMetrics(reg, ctrl)
 	h := admission.WithTimeout(ctrl.Middleware(slow), 5*time.Second,

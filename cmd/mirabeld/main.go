@@ -318,7 +318,7 @@ func run(cfg config, logger *obs.Logger) error {
 	seedc := make(chan error, 1)
 	go func() {
 		if cfg.seedDir != "" {
-			if err := seedStore(ctx, store, telemetry, logger, clock, faults, cfg.seedDir, cfg.seedApproach, cfg.seedFlexPct, cfg.seedJobs); err != nil {
+			if err := seedStore(ctx, store, kpiSvc, telemetry, logger, clock, faults, cfg.seedDir, cfg.seedApproach, cfg.seedFlexPct, cfg.seedJobs); err != nil {
 				seedc <- fmt.Errorf("seed: %w", err)
 				return
 			}
@@ -413,14 +413,15 @@ func sweeper(ctx context.Context, store *market.Store, interval time.Duration, m
 // seedStore bulk-extracts every *.csv under dir through the concurrent
 // pipeline and submits the resulting offers into the store over the
 // resilient sink: transient submission failures retry with backoff, and
-// offers that exhaust the budget are dead-lettered and logged, never
-// silently dropped. The files are read first, on the jobs workers, so an
-// unreadable file fails the seed before anything reaches the store or
-// its journal. faults, when non-nil, injects the -fault-profile
-// schedule between the retry layer and the store. telemetry and logger may
-// be nil; clock is the store's logical clock (nil for live), injected into
-// the pipeline so -clock replays report deterministic batch timings.
-func seedStore(ctx context.Context, store *market.Store, telemetry *pipeline.Telemetry, logger *obs.Logger, clock func() time.Time, faults *faultinject.Schedule, dir, approach string, flexPct float64, jobs int) error {
+// offers that exhaust the budget are dead-lettered, logged, and booked on
+// kpis against their ConsumerID, never silently dropped. The files are
+// read first, on the jobs workers, so an unreadable file fails the seed
+// before anything reaches the store or its journal. faults, when non-nil,
+// injects the -fault-profile schedule between the retry layer and the
+// store. kpis, telemetry and logger may be nil; clock is the store's
+// logical clock (nil for live), injected into the pipeline so -clock
+// replays report deterministic batch timings.
+func seedStore(ctx context.Context, store *market.Store, kpis *kpi.Service, telemetry *pipeline.Telemetry, logger *obs.Logger, clock func() time.Time, faults *faultinject.Schedule, dir, approach string, flexPct float64, jobs int) error {
 	all, err := filepath.Glob(filepath.Join(dir, "*.csv"))
 	if err != nil {
 		return err
@@ -481,6 +482,11 @@ func seedStore(ctx context.Context, store *market.Store, telemetry *pipeline.Tel
 	}
 	for _, dl := range sink.DeadLetters() {
 		logger.Warn("seed offers dead-lettered", "job", dl.JobID, "offers", len(dl.Offers), "attempts", dl.Attempts, "err", dl.Err)
+		if kpis != nil {
+			for _, f := range dl.Offers {
+				kpis.ObserveDeadLetters(f.ConsumerID, 1)
+			}
+		}
 	}
 	submitted, rejected := storeSink.Counts()
 	kv := []any{

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/kpi"
 	"repro/internal/market"
 	"repro/internal/obs"
 	"repro/internal/timeseries"
@@ -51,7 +52,7 @@ func TestSeedStoreBulkSubmits(t *testing.T) {
 	// Replay clock before the historical deadlines, as -clock would set.
 	clock := seedStart.Add(-48 * time.Hour)
 	store := market.NewStore(func() time.Time { return clock })
-	if err := seedStore(context.Background(), store, nil, nil, nil, nil, dir, "peak", 0.05, 4); err != nil {
+	if err := seedStore(context.Background(), store, nil, nil, nil, nil, nil, dir, "peak", 0.05, 4); err != nil {
 		t.Fatal(err)
 	}
 	counts := store.Stats()
@@ -80,7 +81,7 @@ func TestSeedStoreLiveClockRejectsHistoricalOffers(t *testing.T) {
 	dir := t.TempDir()
 	writeHouseCSV(t, filepath.Join(dir, "old.csv"), 2)
 	store := market.NewStore(nil) // live clock: 2012 deadlines lapsed long ago
-	err := seedStore(context.Background(), store, nil, nil, nil, nil, dir, "peak", 0.05, 2)
+	err := seedStore(context.Background(), store, nil, nil, nil, nil, nil, dir, "peak", 0.05, 2)
 	if err == nil {
 		t.Fatal("historical offers accepted under a live clock")
 	}
@@ -90,12 +91,12 @@ func TestSeedStoreLiveClockRejectsHistoricalOffers(t *testing.T) {
 }
 
 func TestSeedStoreErrors(t *testing.T) {
-	if err := seedStore(context.Background(), market.NewStore(nil), nil, nil, nil, nil, t.TempDir(), "peak", 0.05, 1); err == nil {
+	if err := seedStore(context.Background(), market.NewStore(nil), nil, nil, nil, nil, nil, t.TempDir(), "peak", 0.05, 1); err == nil {
 		t.Fatal("empty seed dir accepted")
 	}
 	dir := t.TempDir()
 	writeHouseCSV(t, filepath.Join(dir, "h.csv"), 2)
-	if err := seedStore(context.Background(), market.NewStore(nil), nil, nil, nil, nil, dir, "frequency", 0.05, 1); err == nil {
+	if err := seedStore(context.Background(), market.NewStore(nil), nil, nil, nil, nil, nil, dir, "frequency", 0.05, 1); err == nil {
 		t.Fatal("unsupported seed approach accepted")
 	}
 }
@@ -112,7 +113,7 @@ func TestSeedStoreSurvivesFaultInjection(t *testing.T) {
 	faults := faultinject.NewSchedule(prof)
 	clock := seedStart.Add(-48 * time.Hour)
 	store := market.NewStore(func() time.Time { return clock })
-	if err := seedStore(context.Background(), store, nil, nil, nil, faults, dir, "peak", 0.05, 2); err != nil {
+	if err := seedStore(context.Background(), store, nil, nil, nil, nil, faults, dir, "peak", 0.05, 2); err != nil {
 		t.Fatal(err)
 	}
 	if faults.Counts()["total"] == 0 {
@@ -120,6 +121,67 @@ func TestSeedStoreSurvivesFaultInjection(t *testing.T) {
 	}
 	if store.Stats().Offered == 0 {
 		t.Fatal("fault injection emptied the store; the resilient sink did not retry")
+	}
+}
+
+// TestSeedDeadLettersReachKPI: under an all-error fault profile every
+// extracted offer is dead-lettered, and seeding books each one on the KPI
+// service against its household, so GET /kpi reports the whole loss.
+func TestSeedDeadLettersReachKPI(t *testing.T) {
+	dir := t.TempDir()
+	houses := []string{"a", "b", "c"}
+	for _, name := range houses {
+		writeHouseCSV(t, filepath.Join(dir, name+".csv"), 2)
+	}
+	clock := seedStart.Add(-48 * time.Hour)
+	now := func() time.Time { return clock }
+
+	// The oracle: the same seed without faults lands every offer in a
+	// store, under its household's ConsumerID.
+	clean := market.NewStore(now)
+	if err := seedStore(context.Background(), clean, nil, nil, nil, nil, nil, dir, "peak", 0.05, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]uint64)
+	var total uint64
+	for _, r := range clean.List() {
+		want[r.Offer.ConsumerID]++
+		total++
+	}
+	if len(want) != len(houses) {
+		t.Fatalf("clean seed gave offers to %d owners, want %d: %v", len(want), len(houses), want)
+	}
+
+	prof, err := faultinject.ParseProfile("seed=1,error=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := market.NewStore(now)
+	kpis, err := kpi.NewService(kpi.ServiceConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kpis.Close()
+	if err := seedStore(context.Background(), store, kpis, nil, nil, nil, faultinject.NewSchedule(prof), dir, "peak", 0.05, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Stats().Offered; n != 0 {
+		t.Fatalf("all-error profile let %d offers into the store", n)
+	}
+	rep := kpis.Report()
+	if rep.Global.DeadLettered != total {
+		t.Errorf("global dead_lettered = %d, want the %d offers the seed extracted", rep.Global.DeadLettered, total)
+	}
+	if rep.Global.DeadLetterLossRatio != 1 {
+		t.Errorf("dead_letter_loss_ratio = %v, want 1", rep.Global.DeadLetterLossRatio)
+	}
+	for owner, n := range want {
+		if got := rep.Owners[owner].DeadLettered; got != n {
+			t.Errorf("owner %s dead_lettered = %d, want %d", owner, got, n)
+		}
+	}
+	if len(rep.Owners) != len(want) {
+		t.Errorf("KPI report has %d owners, want %d: %v", len(rep.Owners), len(want), rep.Owners)
 	}
 }
 
@@ -131,7 +193,7 @@ func TestSeedStoreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // shutdown arrives before seeding starts reading files
 	store := market.NewStore(nil)
-	err := seedStore(ctx, store, nil, nil, nil, nil, dir, "peak", 0.05, 2)
+	err := seedStore(ctx, store, nil, nil, nil, nil, nil, dir, "peak", 0.05, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled seed = %v, want context.Canceled", err)
 	}
@@ -163,7 +225,7 @@ func TestSeedStoreBadFileLeavesJournalUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer journal.Close()
-	err = seedStore(context.Background(), store, nil, nil, nil, nil, dir, "peak", 0.05, 4)
+	err = seedStore(context.Background(), store, nil, nil, nil, nil, nil, dir, "peak", 0.05, 4)
 	if err == nil || !strings.Contains(err.Error(), "h4.csv") || strings.Contains(err.Error(), "h6.csv") {
 		t.Fatalf("seed error = %v, want one naming h4.csv alone", err)
 	}
@@ -190,7 +252,7 @@ func TestSeedStoreJobsInvariant(t *testing.T) {
 	seed := func(jobs int) []offer {
 		clock := seedStart.Add(-48 * time.Hour)
 		store := market.NewStore(func() time.Time { return clock })
-		if err := seedStore(context.Background(), store, nil, nil, nil, nil, dir, "peak", 0.05, jobs); err != nil {
+		if err := seedStore(context.Background(), store, nil, nil, nil, nil, nil, dir, "peak", 0.05, jobs); err != nil {
 			t.Fatal(err)
 		}
 		var out []offer
@@ -281,7 +343,7 @@ func TestSeedDoneLogReportsWallOnLiveClock(t *testing.T) {
 		var out strings.Builder
 		logger := obs.NewLogger(&out, obs.LevelInfo)
 		store := market.NewStore(func() time.Time { return pinned })
-		if err := seedStore(context.Background(), store, nil, logger, c.clock, nil, dir, "peak", 0.05, 2); err != nil {
+		if err := seedStore(context.Background(), store, nil, nil, logger, c.clock, nil, dir, "peak", 0.05, 2); err != nil {
 			t.Fatalf("%s clock: %v", c.name, err)
 		}
 		if !c.want.MatchString(out.String()) {

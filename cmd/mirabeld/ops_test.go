@@ -107,7 +107,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	clockAt := seedStart.Add(-48 * time.Hour)
 	h, store, _, telemetry, hlt := newOpsHandler(t, func() time.Time { return clockAt }, false)
 
-	if err := seedStore(context.Background(), store, telemetry, nil, nil, nil, dir, "peak", 0.05, 2); err != nil {
+	if err := seedStore(context.Background(), store, nil, telemetry, nil, nil, nil, dir, "peak", 0.05, 2); err != nil {
 		t.Fatal(err)
 	}
 	hlt.ready.Store(true)

@@ -112,20 +112,15 @@ type Limits struct {
 	// no queue: everything past MaxConcurrent sheds immediately.
 	MaxQueue int
 	// MaxWait bounds how long a queued request waits for a slot before
-	// shedding with 503 (default 1s).
+	// shedding with 503 (default 1s). It is also the Retry-After hint on
+	// the class's shed responses.
 	MaxWait time.Duration
-	// RetryAfter overrides the Retry-After hint on shed responses
-	// (default: MaxWait).
-	RetryAfter time.Duration
 }
 
-// withDefaults fills the zero-valued wait budget and retry hint.
+// withDefaults fills the zero-valued wait budget.
 func (l Limits) withDefaults() Limits {
 	if l.MaxWait <= 0 {
 		l.MaxWait = time.Second
-	}
-	if l.RetryAfter <= 0 {
-		l.RetryAfter = l.MaxWait
 	}
 	return l
 }
@@ -136,11 +131,9 @@ type Config struct {
 	Reads Limits
 	// Writes limits ClassWrite; the zero value leaves writes unlimited.
 	Writes Limits
-	// Classify maps a request onto its class (DefaultClassify when nil).
-	Classify func(*http.Request) Class
 }
 
-// DefaultClassify is the default request classifier: the operational
+// DefaultClassify is the request classifier: the operational
 // endpoints (/healthz, /readyz, /metrics, /debug/pprof/...) are ClassOps,
 // other GET/HEAD requests are ClassRead, and everything else ClassWrite.
 func DefaultClassify(r *http.Request) Class {
@@ -214,7 +207,7 @@ func (l *limiter) admit(ctx context.Context, waitObserve func(float64)) (release
 	if l.queued.Add(1) > int64(l.limits.MaxQueue) {
 		l.queued.Add(-1)
 		l.shed[ShedQueueFull].Add(1)
-		return nil, &Shed{Status: http.StatusTooManyRequests, Reason: ShedQueueFull, RetryAfter: l.limits.RetryAfter}
+		return nil, &Shed{Status: http.StatusTooManyRequests, Reason: ShedQueueFull, RetryAfter: l.limits.MaxWait}
 	}
 	start := time.Now()
 	timer := time.NewTimer(l.limits.MaxWait)
@@ -231,11 +224,11 @@ func (l *limiter) admit(ctx context.Context, waitObserve func(float64)) (release
 	case <-timer.C:
 		l.queued.Add(-1)
 		l.shed[ShedWaitTimeout].Add(1)
-		return nil, &Shed{Status: http.StatusServiceUnavailable, Reason: ShedWaitTimeout, RetryAfter: l.limits.RetryAfter}
+		return nil, &Shed{Status: http.StatusServiceUnavailable, Reason: ShedWaitTimeout, RetryAfter: l.limits.MaxWait}
 	case <-ctx.Done():
 		l.queued.Add(-1)
 		l.shed[ShedCancelled].Add(1)
-		return nil, &Shed{Status: http.StatusServiceUnavailable, Reason: ShedCancelled, RetryAfter: l.limits.RetryAfter}
+		return nil, &Shed{Status: http.StatusServiceUnavailable, Reason: ShedCancelled, RetryAfter: l.limits.MaxWait}
 	}
 }
 
@@ -263,7 +256,6 @@ func (l *limiter) stats() ClassStats {
 // request so a shutting-down daemon stops accepting new work while its
 // in-flight requests finish.
 type Controller struct {
-	classify func(*http.Request) Class
 	limiters [numClasses]*limiter
 	draining atomic.Bool
 	drainRA  time.Duration
@@ -280,18 +272,15 @@ type Controller struct {
 // NewController builds a Controller from cfg. Classes whose Limits have
 // MaxConcurrent <= 0 are unlimited.
 func NewController(cfg Config) *Controller {
-	c := &Controller{classify: cfg.Classify}
-	if c.classify == nil {
-		c.classify = DefaultClassify
-	}
+	c := &Controller{}
 	c.limiters[ClassRead] = newLimiter(cfg.Reads)
 	c.limiters[ClassWrite] = newLimiter(cfg.Writes)
 	c.drainRA = time.Second
 	return c
 }
 
-// ClassOf reports the class the controller's classifier assigns to r.
-func (c *Controller) ClassOf(r *http.Request) Class { return c.classify(r) }
+// ClassOf reports the class DefaultClassify assigns to r.
+func (c *Controller) ClassOf(r *http.Request) Class { return DefaultClassify(r) }
 
 // BeginDrain flips the controller into drain mode: every subsequent
 // non-ops request is shed with 503 + Retry-After, while requests already
@@ -350,7 +339,7 @@ func writeShed(w http.ResponseWriter, shed *Shed) {
 // is protected.
 func (c *Controller) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		class := c.classify(r)
+		class := DefaultClassify(r)
 		if class == ClassOps {
 			c.opsAdmitted.Add(1)
 			next.ServeHTTP(w, r)

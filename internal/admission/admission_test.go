@@ -168,6 +168,48 @@ func TestWaitTimeoutSheds503(t *testing.T) {
 	}
 }
 
+// TestShedRetryAfterIsMaxWait: queue-full and wait-timeout sheds answer
+// Retry-After with the class's MaxWait in whole seconds, rounded up,
+// minimum 1.
+func TestShedRetryAfterIsMaxWait(t *testing.T) {
+	cases := []struct {
+		maxWait time.Duration
+		want    string
+	}{
+		{5 * time.Millisecond, "1"},
+		{1500 * time.Millisecond, "2"},
+	}
+	sheds := []struct {
+		name     string
+		maxQueue int
+		status   int
+	}{
+		{"queue_full", 0, http.StatusTooManyRequests},
+		{"wait_timeout", 1, http.StatusServiceUnavailable},
+	}
+	for _, tc := range cases {
+		for _, sh := range sheds {
+			t.Run(sh.name+"/"+tc.maxWait.String(), func(t *testing.T) {
+				t.Parallel()
+				c := NewController(Config{Writes: Limits{MaxConcurrent: 1, MaxQueue: sh.maxQueue, MaxWait: tc.maxWait}})
+				inner := &blockingHandler{gate: make(chan struct{})}
+				defer close(inner.gate)
+				h := c.Middleware(inner)
+				go doReq(h, "POST", "/offers")
+				waitFor(t, func() bool { return inner.entered.Load() == 1 })
+
+				rr := doReq(h, "POST", "/offers")
+				if rr.Code != sh.status || !strings.Contains(rr.Body.String(), sh.name) {
+					t.Fatalf("shed = %d %q, want %d %s", rr.Code, rr.Body.String(), sh.status, sh.name)
+				}
+				if got := rr.Header().Get("Retry-After"); got != tc.want {
+					t.Fatalf("Retry-After = %q, want %q for MaxWait %v", got, tc.want, tc.maxWait)
+				}
+			})
+		}
+	}
+}
+
 // TestDrainShedsNonOps: after BeginDrain, reads and writes shed with 503
 // draining while ops requests still pass.
 func TestDrainShedsNonOps(t *testing.T) {

@@ -236,18 +236,6 @@ func (a *Appliance) SampleStartHour(rng *rand.Rand) int {
 	return 23
 }
 
-// FlatEnvelope builds an envelope of n minutes with a constant per-minute
-// band sized so the nominal run energy equals nominalKWh and each minute may
-// vary by +-spread (fraction of the nominal per-minute energy).
-func FlatEnvelope(n int, nominalKWh, spread float64) []Band {
-	per := nominalKWh / float64(n)
-	env := make([]Band, n)
-	for i := range env {
-		env[i] = Band{Min: per * (1 - spread), Max: per * (1 + spread)}
-	}
-	return env
-}
-
 // ShapedEnvelope builds an envelope of len(shape) minutes whose nominal
 // per-minute energies follow shape (normalised to sum to nominalKWh), each
 // minute with a +-spread band. Negative shape entries are treated as zero.

@@ -189,16 +189,6 @@ func TestShapedEnvelopeNegativeEntries(t *testing.T) {
 	}
 }
 
-func TestFlatEnvelope(t *testing.T) {
-	env := FlatEnvelope(4, 2, 0.5)
-	if len(env) != 4 {
-		t.Fatalf("len = %d", len(env))
-	}
-	if !almostEqual(env[0].Min, 0.25, 1e-9) || !almostEqual(env[0].Max, 0.75, 1e-9) {
-		t.Errorf("band = %+v", env[0])
-	}
-}
-
 func TestCategoryString(t *testing.T) {
 	cats := []Category{Wet, Cleaning, Vehicle, Kitchen, Cold, Entertainment, Heating, Category(99)}
 	want := []string{"wet", "cleaning", "vehicle", "kitchen", "cold", "entertainment", "heating", "unknown"}

@@ -2,7 +2,6 @@ package appliance
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -60,24 +59,6 @@ func (r *Registry) Flexible() []*Appliance {
 			out = append(out, a)
 		}
 	}
-	return out
-}
-
-// ByCategory returns the appliances of one category, in insertion order.
-func (r *Registry) ByCategory(c Category) []*Appliance {
-	var out []*Appliance
-	for _, a := range r.All() {
-		if a.Category == c {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Names returns the sorted appliance names.
-func (r *Registry) Names() []string {
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
 	return out
 }
 

@@ -180,7 +180,7 @@ func checkInput(s *timeseries.Series, p Params) error {
 			ErrInput, s.Resolution(), p.SliceDuration)
 	}
 	if s.CountMissing() > 0 {
-		return fmt.Errorf("%w: %d missing values (fill first)", ErrInput, s.CountMissing())
+		return fmt.Errorf("%w: %d missing values (every interval needs a reading)", ErrInput, s.CountMissing())
 	}
 	for i := 0; i < s.Len(); i++ {
 		if s.Value(i) < 0 {

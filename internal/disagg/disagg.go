@@ -311,12 +311,3 @@ func matchWindow(window, sig []float64, minScale, maxScale float64) (scale, cove
 	}
 	return scale, coverage, cov / math.Sqrt(vw*vs)
 }
-
-// EnergyByAppliance sums detected energy per appliance.
-func (r *Result) EnergyByAppliance() map[string]float64 {
-	out := make(map[string]float64)
-	for _, d := range r.Detections {
-		out[d.Appliance] += d.Energy
-	}
-	return out
-}

@@ -207,18 +207,6 @@ func TestMatchWindow(t *testing.T) {
 	}
 }
 
-func TestEnergyByAppliance(t *testing.T) {
-	r := &Result{Detections: []Detection{
-		{Appliance: "a", Energy: 1},
-		{Appliance: "b", Energy: 2},
-		{Appliance: "a", Energy: 3},
-	}}
-	got := r.EnergyByAppliance()
-	if got["a"] != 4 || got["b"] != 2 {
-		t.Errorf("EnergyByAppliance = %v", got)
-	}
-}
-
 // matchTruth counts detections matching ground-truth activations of the
 // same appliance within the tolerance.
 func matchTruth(dets []Detection, truth []household.Activation, tol time.Duration) (tp int) {

@@ -234,9 +234,6 @@ func NewSchedule(p Profile) *Schedule {
 	}
 }
 
-// Profile returns the profile the schedule was built from.
-func (s *Schedule) Profile() Profile { return s.profile }
-
 // Next draws the next fault decision. The sequence depends only on the
 // profile (seed and rates), never on timing.
 func (s *Schedule) Next() Decision {

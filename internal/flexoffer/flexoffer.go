@@ -235,24 +235,6 @@ func (f *FlexOffer) EffectiveTotalBounds() (min, max float64) {
 	return min, max
 }
 
-// Shift moves the whole start window (and lifecycle deadlines that are set)
-// by d, returning a new offer. Profile shape is unchanged.
-func (f *FlexOffer) Shift(d time.Duration) *FlexOffer {
-	c := f.Clone()
-	move := func(t time.Time) time.Time {
-		if t.IsZero() {
-			return t
-		}
-		return t.Add(d)
-	}
-	c.CreationTime = move(c.CreationTime)
-	c.AcceptanceTime = move(c.AcceptanceTime)
-	c.AssignmentTime = move(c.AssignmentTime)
-	c.EarliestStart = c.EarliestStart.Add(d)
-	c.LatestStart = c.LatestStart.Add(d)
-	return c
-}
-
 // UniformProfile builds n slices of the given duration, each bounded by
 // [minEnergy, maxEnergy] kWh. It is the common case for extracted offers
 // whose flexible energy is spread evenly over the profile.

@@ -136,29 +136,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestShift(t *testing.T) {
-	f := evOffer()
-	s := f.Shift(24 * time.Hour)
-	if !s.EarliestStart.Equal(f.EarliestStart.Add(24 * time.Hour)) {
-		t.Errorf("Shift earliest = %v", s.EarliestStart)
-	}
-	if !s.CreationTime.Equal(f.CreationTime.Add(24 * time.Hour)) {
-		t.Errorf("Shift creation = %v", s.CreationTime)
-	}
-	if s.TimeFlexibility() != f.TimeFlexibility() {
-		t.Error("Shift changed time flexibility")
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("shifted offer invalid: %v", err)
-	}
-	// Zero lifecycle stamps stay zero.
-	f.CreationTime = time.Time{}
-	s = f.Shift(time.Hour)
-	if !s.CreationTime.IsZero() {
-		t.Error("Shift moved zero timestamp")
-	}
-}
-
 func TestUniformProfile(t *testing.T) {
 	p := UniformProfile(4, 15*time.Minute, 1, 2)
 	if len(p) != 4 {

@@ -44,17 +44,6 @@ func (set Set) SortByEarliestStart() {
 	})
 }
 
-// Within returns the offers whose earliest start falls in [from, to).
-func (set Set) Within(from, to time.Time) Set {
-	var out Set
-	for _, f := range set {
-		if !f.EarliestStart.Before(from) && f.EarliestStart.Before(to) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // PlacementSeries builds a series over [start, start+n*resolution) counting
 // the average energy each offer would consume if started at its earliest
 // start — the temporal placement profile of the set. It is the quantity the

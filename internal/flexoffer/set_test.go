@@ -49,18 +49,6 @@ func TestSortByEarliestStart(t *testing.T) {
 	}
 }
 
-func TestWithin(t *testing.T) {
-	set := Set{
-		smallOffer("a", t0, 1),
-		smallOffer("b", t0.Add(time.Hour), 1),
-		smallOffer("c", t0.Add(3*time.Hour), 1),
-	}
-	got := set.Within(t0, t0.Add(2*time.Hour))
-	if len(got) != 2 || got[0].ID != "a" || got[1].ID != "b" {
-		t.Errorf("Within = %v", got)
-	}
-}
-
 func TestPlacementSeries(t *testing.T) {
 	set := Set{smallOffer("a", t0, 4), smallOffer("b", t0.Add(time.Hour), 8)}
 	ps, err := set.PlacementSeries(t0, 15*time.Minute, 8)

@@ -42,12 +42,6 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("market client: server shed request (%d): %s", e.StatusCode, msg)
 }
 
-// RetryAfterHint reports the server's suggested wait before retrying;
-// zero means the server gave none. Retry loops discover the hint
-// through this method (via errors.As on any interface carrying it)
-// without importing this package.
-func (e *ShedError) RetryAfterHint() time.Duration { return e.RetryAfter }
-
 // shedStatus reports whether code is one of the overload-shedding
 // statuses admission control answers with.
 func shedStatus(code int) bool {

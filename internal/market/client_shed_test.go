@@ -56,9 +56,6 @@ func TestClientShedError(t *testing.T) {
 			if shed.RetryAfter != c.wantHint {
 				t.Errorf("RetryAfter = %v, want %v", shed.RetryAfter, c.wantHint)
 			}
-			if shed.RetryAfterHint() != c.wantHint {
-				t.Errorf("RetryAfterHint() = %v, want %v", shed.RetryAfterHint(), c.wantHint)
-			}
 			if shed.Message != c.wantMsg {
 				t.Errorf("Message = %q, want %q", shed.Message, c.wantMsg)
 			}

@@ -266,10 +266,9 @@ type JournalOptions struct {
 	// ID-hash routing bakes the count into every stream.
 	Shards int
 	// Policy selects when appends are fsynced; the zero value is
-	// wal.SyncAlways.
+	// wal.SyncAlways. Under wal.SyncEvery the background fsync runs every
+	// wal.DefaultSyncInterval.
 	Policy wal.SyncPolicy
-	// SyncInterval is the background fsync cadence under wal.SyncEvery.
-	SyncInterval time.Duration
 	// SnapshotEvery triggers an automatic per-shard snapshot after that
 	// many events journaled into that shard; zero disables automatic
 	// snapshots (Close still takes final ones).
@@ -455,7 +454,6 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 			Dir:          filepath.Join(opts.Dir, shardDirName(k)),
 			SegmentBytes: opts.SegmentBytes,
 			Policy:       opts.Policy,
-			Interval:     opts.SyncInterval,
 			FS:           opts.FS,
 		})
 		if err != nil {

@@ -3,8 +3,7 @@
 // frequency-based extraction (§4.1 — "derive which appliance and how
 // frequently was used") and usage schedules for the schedule-based
 // extraction (§4.2 — "the exact schedule of the usage of each appliance can
-// be derived"). It also provides SAX-style motif discovery over raw series,
-// following the time-series-motif line of work the paper cites [13].
+// be derived").
 package patterns
 
 import (

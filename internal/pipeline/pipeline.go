@@ -6,11 +6,10 @@
 // A batch is a stream of Jobs, one per household series. Run fans the jobs
 // out over a bounded pool of workers; each worker builds the configured
 // extractor for its job, runs it, and streams the resulting flex-offers
-// into a shared Sink (collect into memory, forward on a channel, or
-// bulk-submit into a market.Store). The pool honours context cancellation,
-// recovers per-worker panics into per-job errors, and keeps per-stage
-// counters (series processed, offers emitted, errors, panics, wall and
-// busy time).
+// into a shared Sink (collect into memory or bulk-submit into a
+// market.Store). The pool honours context cancellation, recovers
+// per-worker panics into per-job errors, and keeps per-stage counters
+// (series processed, offers emitted, errors, panics, wall and busy time).
 //
 // # Ownership model
 //
@@ -59,10 +58,9 @@ var (
 // Job is one unit of batch work: a single household's consumption series.
 type Job struct {
 	// ID identifies the series within the batch (e.g. the CSV base name or
-	// metering-point ID). Unless Config.KeepOfferIDs is set, it prefixes
-	// every extracted offer ID ("<job>/<offer>") so offers from different
-	// households never collide in a shared store. IDs should be unique per
-	// batch.
+	// metering-point ID). When non-empty it prefixes every extracted offer
+	// ID ("<job>/<offer>") so offers from different households never
+	// collide in a shared store. IDs should be unique per batch.
 	ID string
 	// Series is the consumption series to extract from. The pipeline owns
 	// it until Run returns (see the package ownership model).
@@ -107,10 +105,6 @@ type Config struct {
 	// the core extractors keep all per-run state local to Extract, so
 	// sharing is safe.
 	NewExtractor func(Job) core.Extractor
-	// KeepOfferIDs disables the default qualification of extracted offer
-	// IDs with the job ID. Leave false whenever outputs from several
-	// households flow into one store.
-	KeepOfferIDs bool
 	// Telemetry, when set, feeds the long-lived pipeline metrics (jobs
 	// started/succeeded/failed, per-stage durations, worker saturation)
 	// registered with NewTelemetry. Nil disables instrumentation.
@@ -249,7 +243,7 @@ func runJob(ctx context.Context, cfg Config, job Job, sink Sink, acc *accumulato
 		acc.fail(JobError{JobID: job.ID, Err: err}, elapsed, panicked)
 		return
 	}
-	if !cfg.KeepOfferIDs && job.ID != "" {
+	if job.ID != "" {
 		for _, f := range res.Offers {
 			f.ID = job.ID + "/" + f.ID
 		}

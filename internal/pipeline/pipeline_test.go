@@ -94,20 +94,6 @@ func TestRunJobsCollects(t *testing.T) {
 	}
 }
 
-func TestKeepOfferIDs(t *testing.T) {
-	jobs := batchJobs(2)
-	sink := &CollectSink{}
-	cfg := Config{Workers: 2, NewExtractor: peakFactory, KeepOfferIDs: true}
-	if _, err := RunJobs(context.Background(), cfg, jobs, sink); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range sink.Offers() {
-		if strings.HasPrefix(f.ID, "house-") {
-			t.Fatalf("offer ID %q qualified despite KeepOfferIDs", f.ID)
-		}
-	}
-}
-
 // TestWorkersRunConcurrently proves the pool genuinely overlaps jobs: four
 // blocking jobs only finish if all four run at once.
 func TestWorkersRunConcurrently(t *testing.T) {
@@ -279,27 +265,6 @@ func TestMultiTariffJobNeedsReference(t *testing.T) {
 	}
 }
 
-func TestChannelSinkStreams(t *testing.T) {
-	ch := make(chan Output)
-	var got atomic.Int32
-	consumed := make(chan struct{})
-	go func() {
-		defer close(consumed)
-		for range ch {
-			got.Add(1)
-		}
-	}()
-	stats, err := RunJobs(context.Background(), Config{Workers: 3, NewExtractor: peakFactory}, batchJobs(8), ChannelSink{C: ch})
-	close(ch)
-	<-consumed
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(got.Load()) != stats.SeriesProcessed || stats.SeriesProcessed != 8 {
-		t.Fatalf("streamed %d outputs, processed %d", got.Load(), stats.SeriesProcessed)
-	}
-}
-
 func TestStoreSinkBulkSubmits(t *testing.T) {
 	// A fixed logical clock before the offers' acceptance deadlines, as a
 	// replay deployment would configure.
@@ -326,9 +291,9 @@ func TestStoreSinkCountsRejections(t *testing.T) {
 	clock := testStart.Add(-48 * time.Hour)
 	store := market.NewStore(func() time.Time { return clock })
 	sink := &StoreSink{Store: store}
-	cfg := Config{Workers: 2, NewExtractor: peakFactory, KeepOfferIDs: true}
-	// Two identical jobs with KeepOfferIDs: the second job's offers all
-	// collide with the first's.
+	cfg := Config{Workers: 2, NewExtractor: peakFactory}
+	// Two identical jobs under one job ID: the second job's qualified offer
+	// IDs all collide with the first's.
 	jobs := batchJobs(2)
 	jobs[1].ID = jobs[0].ID
 	jobs[1].Series = jobs[0].Series.Clone()

@@ -29,7 +29,7 @@ func sequentialOutputs(t *testing.T, cfg Config, jobs []Job) map[string]flexoffe
 		if err != nil {
 			t.Fatalf("sequential %s: %v", j.ID, err)
 		}
-		if !cfg.KeepOfferIDs && j.ID != "" {
+		if j.ID != "" {
 			for _, f := range res.Offers {
 				f.ID = j.ID + "/" + f.ID
 			}

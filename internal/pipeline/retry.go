@@ -184,13 +184,7 @@ func (r *ResilientSink) Put(ctx context.Context, out Output) error {
 			return nil
 		}
 		r.noteRetry()
-		delay := r.backoff(attempt)
-		if hint := retryAfterHint(lastErr); hint > delay {
-			// An overloaded server named its recovery window; honouring
-			// it beats hammering the server on our own schedule.
-			delay = hint
-		}
-		if sleepErr := sleepCtx(ctx, delay); sleepErr != nil {
+		if sleepErr := sleepCtx(ctx, r.backoff(attempt)); sleepErr != nil {
 			// Cancelled mid-backoff: return promptly, never sleep out
 			// the full delay, and account the undelivered offers.
 			r.deadLetter(out, attempt, lastErr)
@@ -228,24 +222,6 @@ func (r *ResilientSink) backoff(attempt int) time.Duration {
 		d = time.Duration(float64(d) * factor)
 	}
 	return d
-}
-
-// retryAfterHinter is satisfied by errors carrying a server-provided
-// retry pacing hint — notably the market client's shed error for 429
-// and 503 responses. Declared locally so the pipeline honours the hint
-// without depending on the transport package that produces it.
-type retryAfterHinter interface {
-	RetryAfterHint() time.Duration
-}
-
-// retryAfterHint extracts the server's Retry-After pacing hint from
-// err's chain; zero when no error in the chain carries one.
-func retryAfterHint(err error) time.Duration {
-	var h retryAfterHinter
-	if errors.As(err, &h) {
-		return h.RetryAfterHint()
-	}
-	return 0
 }
 
 // sleepCtx sleeps for d unless the context ends first, in which case it

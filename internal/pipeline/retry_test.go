@@ -316,57 +316,11 @@ func TestRetryPolicyDefaults(t *testing.T) {
 	}
 }
 
-// hintedErr is a transport error carrying a server Retry-After pacing
-// hint, mirroring the market client's shed error without importing it.
-type hintedErr struct{ after time.Duration }
-
-func (e *hintedErr) Error() string                 { return "server shed request" }
-func (e *hintedErr) RetryAfterHint() time.Duration { return e.after }
-
-// hintedSink fails the first Put with a wrapped hinted error.
-type hintedSink struct {
-	hint    time.Duration
-	collect CollectSink
-	calls   atomic.Int32
-}
-
-func (s *hintedSink) Put(ctx context.Context, out Output) error {
-	if s.calls.Add(1) == 1 {
-		return fmt.Errorf("submit: %w", &hintedErr{after: s.hint})
-	}
-	return s.collect.Put(ctx, out)
-}
-
-// TestResilientSinkHonorsRetryAfterHint: when the failure carries a
-// Retry-After hint longer than the computed backoff, the retry waits
-// the hinted duration instead of hammering the shedding server.
-func TestResilientSinkHonorsRetryAfterHint(t *testing.T) {
-	const hint = 60 * time.Millisecond
-	inner := &hintedSink{hint: hint}
-	// Backoff on its own would be ~1ms; only the hint explains a 60ms wait.
-	rs := NewResilientSink(inner, fastPolicy(3), nil)
-
-	start := time.Now()
-	if err := rs.Put(context.Background(), retryOutput("hint", 2)); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed < hint {
-		t.Fatalf("retry waited %v, want at least the Retry-After hint %v", elapsed, hint)
-	}
-	if got := len(inner.collect.Outputs()); got != 1 {
-		t.Fatalf("inner sink holds %d outputs, want 1", got)
-	}
-	if rs.Retries() != 1 {
-		t.Fatalf("retries = %d, want 1", rs.Retries())
-	}
-}
-
-// TestResilientSinkHintShorterThanBackoff: a hint below the computed
-// backoff must not shorten the wait — the hint is a floor, not a cap.
-func TestResilientSinkHintShorterThanBackoff(t *testing.T) {
+// TestResilientSinkWaitsFullBackoff: a failed attempt is retried only
+// after the whole computed backoff.
+func TestResilientSinkWaitsFullBackoff(t *testing.T) {
 	policy := RetryPolicy{MaxAttempts: 2, BaseBackoff: 30 * time.Millisecond, MaxBackoff: 30 * time.Millisecond, JitterSeed: 1}
-	inner := &hintedSink{hint: time.Millisecond}
+	inner := &flakySink{failures: 1}
 	rs := NewResilientSink(inner, policy, nil)
 
 	start := time.Now()
@@ -374,21 +328,6 @@ func TestResilientSinkHintShorterThanBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Fatalf("retry waited %v, want the full 30ms backoff despite the shorter hint", elapsed)
-	}
-}
-
-// TestRetryAfterHintExtraction: the hint survives error wrapping and is
-// absent for plain errors.
-func TestRetryAfterHintExtraction(t *testing.T) {
-	wrapped := fmt.Errorf("outer: %w", fmt.Errorf("inner: %w", &hintedErr{after: 2 * time.Second}))
-	if got := retryAfterHint(wrapped); got != 2*time.Second {
-		t.Errorf("retryAfterHint(wrapped) = %v, want 2s", got)
-	}
-	if got := retryAfterHint(errTransient); got != 0 {
-		t.Errorf("retryAfterHint(plain) = %v, want 0", got)
-	}
-	if got := retryAfterHint(nil); got != 0 {
-		t.Errorf("retryAfterHint(nil) = %v, want 0", got)
+		t.Fatalf("retry waited %v, want the full 30ms backoff", elapsed)
 	}
 }

@@ -61,23 +61,6 @@ func (c *CollectSink) Offers() flexoffer.Set {
 	return set
 }
 
-// ChannelSink forwards outputs on C, honouring context cancellation while
-// blocked on a slow receiver. The caller owns the channel's lifecycle; the
-// pipeline never closes it.
-type ChannelSink struct {
-	C chan<- Output
-}
-
-// Put implements Sink.
-func (c ChannelSink) Put(ctx context.Context, out Output) error {
-	select {
-	case c.C <- out:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // StoreSink bulk-submits every extracted offer straight into a
 // market.Store — the mirabeld ingest path. Individual offer rejections
 // (duplicates, lapsed deadlines) are counted, not fatal; the batch keeps

@@ -120,7 +120,7 @@ type replayState struct {
 // recent-run window. Undecodable payloads abort the replay: the WAL layer
 // already discards torn tails, so a record that frames correctly but does
 // not parse means corruption, not a crash.
-func replayLedger(ledger *wal.Log, historyLimit int) (replayState, error) {
+func replayLedger(ledger *wal.Log) (replayState, error) {
 	var st replayState
 	err := ledger.ReplayFrom(0, func(lsn uint64, payload []byte) error {
 		var rec ledgerRecord

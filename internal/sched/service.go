@@ -25,8 +25,6 @@ type Config struct {
 	// Store is the market store the service consumes events from and
 	// applies assignments to. Required.
 	Store *market.Store
-	// Agg controls aggregate grouping; agg.DefaultParams() when zero.
-	Agg agg.Params
 	// Horizon is the scheduling horizon length (default 24 h).
 	Horizon time.Duration
 	// Resolution is the horizon grid and the slice duration conforming
@@ -51,8 +49,6 @@ type Config struct {
 	// FS is the filesystem the ledger lives on (wal.DiskFS when nil);
 	// the fault-injection seam.
 	FS wal.FS
-	// HistoryLimit bounds the retained recent-run window (default 64).
-	HistoryLimit int
 	// EventHighWater bounds the event-stream queue; on overflow the
 	// service empties its aggregator and resyncs from a fresh replay
 	// (market.Follower) instead of growing memory without limit. 0 leaves
@@ -61,6 +57,10 @@ type Config struct {
 	// Logger receives service lifecycle logs; may be nil.
 	Logger *obs.Logger
 }
+
+// historyLimit bounds the recent-run window Status reports, live and after
+// a ledger replay.
+const historyLimit = 64
 
 // Service runs online aggregation and scheduling against a market store:
 // it follows the store's event stream so accepted offers join (and
@@ -116,9 +116,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("%w: nil store", ErrInput)
 	}
-	if cfg.Agg == (agg.Params{}) {
-		cfg.Agg = agg.DefaultParams()
-	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 24 * time.Hour
 	}
@@ -134,10 +131,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.HistoryLimit <= 0 {
-		cfg.HistoryLimit = 64
-	}
-	inc, err := agg.NewIncremental(cfg.Agg, cfg.Resolution)
+	inc, err := agg.NewIncremental(agg.DefaultParams(), cfg.Resolution)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +149,7 @@ func New(cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sched: open ledger: %w", err)
 		}
-		st, err := replayLedger(ledger, cfg.HistoryLimit)
+		st, err := replayLedger(ledger)
 		if err != nil {
 			ledger.Close()
 			return nil, err
@@ -393,8 +387,8 @@ func (s *Service) RunOnce() (RunSummary, error) {
 	cp := summary
 	s.lastRun = &cp
 	s.history = append(s.history, summary)
-	if len(s.history) > s.cfg.HistoryLimit {
-		s.history = s.history[len(s.history)-s.cfg.HistoryLimit:]
+	if len(s.history) > historyLimit {
+		s.history = s.history[len(s.history)-historyLimit:]
 	}
 	hist := s.runSeconds
 	s.mu.Unlock()
@@ -445,7 +439,7 @@ type Status struct {
 	Aggregator agg.IncrementalStats `json:"aggregator"`
 	// LastRun is the most recent round, nil before the first.
 	LastRun *RunSummary `json:"last_run,omitempty"`
-	// History lists recent rounds, oldest first.
+	// History lists the last 64 rounds, oldest first.
 	History []RunSummary `json:"history,omitempty"`
 	// Recovered reports what ledger replay restored at start.
 	Recovered RecoveryInfo `json:"recovered"`

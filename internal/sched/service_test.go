@@ -193,6 +193,53 @@ func TestServiceLedgerRecovery(t *testing.T) {
 	}
 }
 
+// TestServiceHistoryKeepsLast64Runs: Status reports the last 64 rounds,
+// oldest first, and a service reopened from the same ledger reports the
+// same 64.
+func TestServiceHistoryKeepsLast64Runs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	clock := &svcClock{now: svcT0}
+	svc := newTestService(t, market.NewShardedStore(2, clock.Now), clock, dir)
+	const rounds, kept = 70, 64
+	for i := 1; i <= rounds; i++ {
+		if _, err := svc.RunOnce(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	checkHistory := func(label string, st Status) {
+		t.Helper()
+		if len(st.History) != kept {
+			t.Fatalf("%s: history holds %d runs, want %d", label, len(st.History), kept)
+		}
+		for i, r := range st.History {
+			if want := uint64(rounds - kept + 1 + i); r.Run != want {
+				t.Fatalf("%s: history[%d] is run %d, want %d", label, i, r.Run, want)
+			}
+		}
+	}
+	live := svc.Status()
+	checkHistory("live", live)
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	reopened := newTestService(t, market.NewShardedStore(2, clock.Now), clock, dir)
+	defer reopened.Close()
+	recovered := reopened.Status()
+	checkHistory("reopened", recovered)
+	liveJSON, err := json.Marshal(live.History)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoveredJSON, err := json.Marshal(recovered.History)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(liveJSON) != string(recoveredJSON) {
+		t.Fatalf("reopened history differs from the live one:\nlive      %s\nrecovered %s", liveJSON, recoveredJSON)
+	}
+}
+
 func TestServiceHTTP(t *testing.T) {
 	clock := &svcClock{now: svcT0}
 	store := market.NewShardedStore(2, clock.Now)

@@ -98,20 +98,6 @@ func (t TimeOfUse) LowWindowFrom(ref time.Time) (start, end time.Time, ok bool) 
 	return start, start.Add(length), true
 }
 
-// Cost prices a consumption series under the tariff: the sum over intervals
-// of energy times the rate at the interval start.
-func Cost(tr Tariff, s *timeseries.Series) float64 {
-	var total float64
-	for i := 0; i < s.Len(); i++ {
-		v := s.Value(i)
-		if v != v { // NaN
-			continue
-		}
-		total += v * tr.Rate(s.TimeAt(i))
-	}
-	return total
-}
-
 // Response models how strongly a consumer reacts to a multi-tariff scheme.
 type Response struct {
 	// ShiftProbability is the chance a flexible appliance run is delayed

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"repro/internal/timeseries"
 )
 
 var t0 = time.Date(2012, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -87,19 +85,6 @@ func TestLowWindowFrom(t *testing.T) {
 	lo, _, _ = tou.LowWindowFrom(t0.Add(22 * time.Hour))
 	if !lo.Equal(t0.Add(22 * time.Hour)) {
 		t.Errorf("window at boundary start = %v", lo)
-	}
-}
-
-func TestCost(t *testing.T) {
-	tou := TimeOfUse{HighPrice: 1.0, LowPrice: 0.5, LowStartHour: 12, LowEndHour: 24}
-	// 24 hourly intervals of 1 kWh: 12 high + 12 low = 12*1 + 12*0.5 = 18.
-	vals := make([]float64, 24)
-	for i := range vals {
-		vals[i] = 1
-	}
-	s := timeseries.MustNew(t0, time.Hour, vals)
-	if got := Cost(tou, s); got != 18 {
-		t.Errorf("Cost = %v, want 18", got)
 	}
 }
 

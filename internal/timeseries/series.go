@@ -9,15 +9,15 @@
 // temporal aggregation exact: downsampling sums energy without loss.
 //
 // Missing observations are represented as NaN and are skipped by the
-// statistics in this package; see missing.go for fill strategies.
+// statistics in this package.
 //
 // # Concurrency and ownership
 //
 // A Series carries no synchronisation. Any number of goroutines may read a
 // Series concurrently (Value, TimeAt, the statistics, Clone, …) as long as
-// none mutates it; SetValue and the in-place fill operations require
-// exclusive access. Code that needs a private mutable copy — the extractors
-// in internal/core, for example — must Clone first and mutate the clone.
+// none mutates it; SetValue requires exclusive access. Code that needs a
+// private mutable copy — the extractors in internal/core, for example —
+// must Clone first and mutate the clone.
 // The batch engine in internal/pipeline relies on exactly this discipline to
 // share one input series across many workers; see that package's ownership
 // model for the contract it imposes on extractors and sinks.
@@ -130,15 +130,6 @@ func (s *Series) IndexOf(t time.Time) (int, bool) {
 	return i, true
 }
 
-// At reports the value of the interval containing t, if t is in range.
-func (s *Series) At(t time.Time) (float64, bool) {
-	i, ok := s.IndexOf(t)
-	if !ok {
-		return 0, false
-	}
-	return s.values[i], true
-}
-
 // Clone returns a deep copy of the series.
 func (s *Series) Clone() *Series {
 	v := make([]float64, len(s.values))
@@ -183,13 +174,6 @@ func (s *Series) Window(from, to time.Time) (*Series, error) {
 	return s.Slice(i, j)
 }
 
-// Append extends the series with additional values and returns s for
-// chaining.
-func (s *Series) Append(values ...float64) *Series {
-	s.values = append(s.values, values...)
-	return s
-}
-
 // Total reports the sum of all non-missing values (total energy).
 func (s *Series) Total() float64 {
 	var sum float64
@@ -199,22 +183,6 @@ func (s *Series) Total() float64 {
 		}
 	}
 	return sum
-}
-
-// Scale multiplies every value by f in place and returns s.
-func (s *Series) Scale(f float64) *Series {
-	for i, v := range s.values {
-		s.values[i] = v * f
-	}
-	return s
-}
-
-// AddScalar adds c to every value in place and returns s.
-func (s *Series) AddScalar(c float64) *Series {
-	for i, v := range s.values {
-		s.values[i] = v + c
-	}
-	return s
 }
 
 // aligned reports whether two series share start, resolution and length.
@@ -246,18 +214,6 @@ func (s *Series) Sub(o *Series) (*Series, error) {
 		out.values[i] -= o.values[i]
 	}
 	return out, nil
-}
-
-// ClampMin raises every value below floor to floor, in place, and returns s.
-// Useful after subtracting extracted flexible energy to keep consumption
-// non-negative in the presence of rounding.
-func (s *Series) ClampMin(floor float64) *Series {
-	for i, v := range s.values {
-		if !math.IsNaN(v) && v < floor {
-			s.values[i] = floor
-		}
-	}
-	return s
 }
 
 // Sum aggregates several aligned series element-wise, e.g. to form the total

@@ -83,9 +83,6 @@ func TestIndexOfAndAt(t *testing.T) {
 			t.Errorf("IndexOf(%v) = (%d, %v), want (%d, %v)", tc.t, i, ok, tc.wantI, tc.wantOK)
 		}
 	}
-	if v, ok := s.At(t0.Add(90 * time.Minute)); !ok || v != 20 {
-		t.Errorf("At = (%v, %v), want (20, true)", v, ok)
-	}
 }
 
 func TestSliceAndWindow(t *testing.T) {
@@ -171,21 +168,6 @@ func TestArithmetic(t *testing.T) {
 	}
 }
 
-func TestScaleAddScalarClampMin(t *testing.T) {
-	s := MustNew(t0, time.Hour, []float64{1, -2, 3})
-	s.Scale(2).AddScalar(1)
-	want := []float64{3, -3, 7}
-	for i, w := range want {
-		if s.Value(i) != w {
-			t.Errorf("Value(%d) = %v, want %v", i, s.Value(i), w)
-		}
-	}
-	s.ClampMin(0)
-	if s.Value(1) != 0 || s.Value(2) != 7 {
-		t.Errorf("ClampMin: got %v", s.Values())
-	}
-}
-
 func TestTotalSkipsNaN(t *testing.T) {
 	s := MustNew(t0, time.Hour, []float64{1, math.NaN(), 3})
 	if got := s.Total(); got != 4 {
@@ -219,14 +201,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.SetValue(0, 99)
 	if s.Value(0) != 1 {
 		t.Error("Clone shares storage with original")
-	}
-}
-
-func TestAppend(t *testing.T) {
-	s := MustNew(t0, time.Hour, []float64{1})
-	s.Append(2, 3)
-	if s.Len() != 3 || s.Value(2) != 3 {
-		t.Errorf("Append: %v", s.Values())
 	}
 }
 

@@ -30,23 +30,15 @@ func (s *Series) Mean() float64 {
 	return sum / float64(n)
 }
 
-// Std reports the population standard deviation of non-missing values, or
-// NaN when there are none.
-func (s *Series) Std() float64 {
-	m := s.Mean()
-	if math.IsNaN(m) {
-		return math.NaN()
-	}
-	var sum float64
+// CountMissing reports the number of NaN values in the series.
+func (s *Series) CountMissing() int {
 	var n int
 	for _, v := range s.values {
-		if !math.IsNaN(v) {
-			d := v - m
-			sum += d * d
+		if math.IsNaN(v) {
 			n++
 		}
 	}
-	return math.Sqrt(sum / float64(n))
+	return n
 }
 
 // Min reports the smallest non-missing value, or NaN when there are none.
@@ -153,40 +145,6 @@ func (s *Series) Autocorrelation(lag int) float64 {
 	return numer / den
 }
 
-// Pearson reports the Pearson correlation coefficient between two aligned
-// series, skipping pairs with missing members. Returns NaN when either
-// series is constant over the compared pairs or the series are misaligned.
-func Pearson(a, b *Series) float64 {
-	if !a.aligned(b) {
-		return math.NaN()
-	}
-	var sx, sy, sxx, syy, sxy float64
-	var n int
-	for i := range a.values {
-		x, y := a.values[i], b.values[i]
-		if math.IsNaN(x) || math.IsNaN(y) {
-			continue
-		}
-		sx += x
-		sy += y
-		sxx += x * x
-		syy += y * y
-		sxy += x * y
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	nf := float64(n)
-	cov := sxy/nf - (sx/nf)*(sy/nf)
-	vx := sxx/nf - (sx/nf)*(sx/nf)
-	vy := syy/nf - (sy/nf)*(sy/nf)
-	if vx <= 0 || vy <= 0 {
-		return math.NaN()
-	}
-	return cov / math.Sqrt(vx*vy)
-}
-
 // PeakToAverage reports the ratio of the maximum to the mean value — a
 // simple peakiness measure used when judging how concentrated consumption
 // (or extracted flexibility) is. Returns NaN for empty or zero-mean series.
@@ -196,37 +154,6 @@ func (s *Series) PeakToAverage() float64 {
 		return math.NaN()
 	}
 	return s.Max() / m
-}
-
-// NormalizedEntropy reports the Shannon entropy of the value distribution
-// across intervals, normalised to [0, 1] by log(n). A uniform series scores
-// 1; a series with all energy in a single interval scores 0. Negative and
-// missing values are treated as zero mass. Used to quantify how "uniformly
-// dispatched within the day" a profile is (the paper's complaint about the
-// random baseline, §1).
-func (s *Series) NormalizedEntropy() float64 {
-	n := len(s.values)
-	if n <= 1 {
-		return 0
-	}
-	var total float64
-	for _, v := range s.values {
-		if !math.IsNaN(v) && v > 0 {
-			total += v
-		}
-	}
-	if num.Zero(total) {
-		return 0
-	}
-	var h float64
-	for _, v := range s.values {
-		if math.IsNaN(v) || v <= 0 {
-			continue
-		}
-		p := v / total
-		h -= p * math.Log(p)
-	}
-	return h / math.Log(float64(n))
 }
 
 // BlockQuantileBaseline estimates a slowly varying baseline: the series is
@@ -288,42 +215,4 @@ func (s *Series) BlockQuantileBaseline(window int, q float64) (*Series, error) {
 		}
 	}
 	return &Series{start: s.start, resolution: s.resolution, values: out}, nil
-}
-
-// DominantPeriod searches lags in [minLag, maxLag] and reports the lag with
-// the highest autocorrelation together with that coefficient. It is the
-// periodicity detector used by the frequency-based extraction to estimate
-// appliance usage periods. To avoid picking points on the decaying shoulder
-// of lag 0, lags before the first zero crossing of the ACF are skipped when
-// a crossing exists inside the range. Returns (0, NaN) when the range is
-// empty or invalid.
-func (s *Series) DominantPeriod(minLag, maxLag int) (int, float64) {
-	if minLag < 1 || maxLag < minLag || maxLag >= len(s.values) {
-		return 0, math.NaN()
-	}
-	acfs := make([]float64, maxLag+1)
-	for lag := minLag; lag <= maxLag; lag++ {
-		acfs[lag] = s.Autocorrelation(lag)
-	}
-	// Skip the shoulder: start searching after the ACF first dips <= 0.
-	searchFrom := minLag
-	for lag := minLag; lag <= maxLag; lag++ {
-		if !math.IsNaN(acfs[lag]) && acfs[lag] <= 0 {
-			searchFrom = lag + 1
-			break
-		}
-	}
-	if searchFrom > maxLag {
-		searchFrom = minLag
-	}
-	bestLag, bestACF := 0, math.Inf(-1)
-	for lag := searchFrom; lag <= maxLag; lag++ {
-		if !math.IsNaN(acfs[lag]) && acfs[lag] > bestACF {
-			bestLag, bestACF = lag, acfs[lag]
-		}
-	}
-	if bestLag == 0 {
-		return 0, math.NaN()
-	}
-	return bestLag, bestACF
 }

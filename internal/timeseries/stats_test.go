@@ -12,14 +12,18 @@ func TestMeanStdMinMax(t *testing.T) {
 	if got := s.Mean(); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := s.Std(); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("Std = %v, want 2", got)
-	}
 	if got := s.Min(); got != 2 {
 		t.Errorf("Min = %v, want 2", got)
 	}
 	if got := s.Max(); got != 9 {
 		t.Errorf("Max = %v, want 9", got)
+	}
+}
+
+func TestCountMissing(t *testing.T) {
+	s := MustNew(t0, time.Hour, []float64{1, math.NaN(), 2, math.NaN()})
+	if got := s.CountMissing(); got != 2 {
+		t.Errorf("CountMissing = %d, want 2", got)
 	}
 }
 
@@ -39,7 +43,7 @@ func TestStatsSkipNaN(t *testing.T) {
 func TestStatsAllMissing(t *testing.T) {
 	s := MustNew(t0, time.Hour, []float64{math.NaN(), math.NaN()})
 	for name, got := range map[string]float64{
-		"Mean": s.Mean(), "Std": s.Std(), "Min": s.Min(), "Max": s.Max(),
+		"Mean": s.Mean(), "Min": s.Min(), "Max": s.Max(),
 	} {
 		if !math.IsNaN(got) {
 			t.Errorf("%s of all-missing = %v, want NaN", name, got)
@@ -105,49 +109,6 @@ func TestAutocorrelation(t *testing.T) {
 	}
 }
 
-func TestDominantPeriod(t *testing.T) {
-	vals := make([]float64, 96)
-	for i := range vals {
-		vals[i] = math.Sin(2 * math.Pi * float64(i) / 24)
-	}
-	s := MustNew(t0, time.Hour, vals)
-	lag, acf := s.DominantPeriod(2, 40)
-	if lag != 24 {
-		t.Errorf("DominantPeriod lag = %d, want 24 (acf %v)", lag, acf)
-	}
-	if lag, acf := s.DominantPeriod(10, 5); lag != 0 || !math.IsNaN(acf) {
-		t.Errorf("invalid range DominantPeriod = (%d, %v)", lag, acf)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	a := MustNew(t0, time.Hour, []float64{1, 2, 3, 4})
-	b := MustNew(t0, time.Hour, []float64{2, 4, 6, 8})
-	if got := Pearson(a, b); !almostEqual(got, 1, 1e-9) {
-		t.Errorf("Pearson(a, 2a) = %v, want 1", got)
-	}
-	c := MustNew(t0, time.Hour, []float64{4, 3, 2, 1})
-	if got := Pearson(a, c); !almostEqual(got, -1, 1e-9) {
-		t.Errorf("Pearson(a, -a) = %v, want -1", got)
-	}
-	flat := MustNew(t0, time.Hour, []float64{5, 5, 5, 5})
-	if got := Pearson(a, flat); !math.IsNaN(got) {
-		t.Errorf("Pearson vs constant = %v, want NaN", got)
-	}
-	short := MustNew(t0, time.Hour, []float64{1, 2})
-	if got := Pearson(a, short); !math.IsNaN(got) {
-		t.Errorf("Pearson misaligned = %v, want NaN", got)
-	}
-}
-
-func TestPearsonSkipsNaNPairs(t *testing.T) {
-	a := MustNew(t0, time.Hour, []float64{1, 2, math.NaN(), 4})
-	b := MustNew(t0, time.Hour, []float64{2, 4, 100, 8})
-	if got := Pearson(a, b); !almostEqual(got, 1, 1e-9) {
-		t.Errorf("Pearson skipping NaN = %v, want 1", got)
-	}
-}
-
 func TestPeakToAverage(t *testing.T) {
 	s := MustNew(t0, time.Hour, []float64{1, 1, 1, 5})
 	if got := s.PeakToAverage(); !almostEqual(got, 2.5, 1e-12) {
@@ -156,26 +117,6 @@ func TestPeakToAverage(t *testing.T) {
 	zero := MustNew(t0, time.Hour, []float64{0, 0})
 	if got := zero.PeakToAverage(); !math.IsNaN(got) {
 		t.Errorf("PeakToAverage of zeros = %v, want NaN", got)
-	}
-}
-
-func TestNormalizedEntropy(t *testing.T) {
-	uniform := MustNew(t0, time.Hour, []float64{1, 1, 1, 1})
-	if got := uniform.NormalizedEntropy(); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("entropy of uniform = %v, want 1", got)
-	}
-	spike := MustNew(t0, time.Hour, []float64{0, 0, 10, 0})
-	if got := spike.NormalizedEntropy(); !almostEqual(got, 0, 1e-12) {
-		t.Errorf("entropy of spike = %v, want 0", got)
-	}
-	mixed := MustNew(t0, time.Hour, []float64{1, 3, 0, 2})
-	got := mixed.NormalizedEntropy()
-	if got <= 0 || got >= 1 {
-		t.Errorf("entropy of mixed = %v, want in (0,1)", got)
-	}
-	empty := MustNew(t0, time.Hour, nil)
-	if got := empty.NormalizedEntropy(); got != 0 {
-		t.Errorf("entropy of empty = %v, want 0", got)
 	}
 }
 
