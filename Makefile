@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint examples bench bench-smoke benchcmp fuzz fuzz-smoke soak soak-overload crash sched-crash verify
+.PHONY: build test race race-all vet fmt-check lint examples bench bench-smoke benchcmp fuzz fuzz-smoke soak soak-overload crash sched-crash verify
 
 build:
 	$(GO) build ./...
@@ -56,39 +56,38 @@ BASE ?= HEAD
 benchcmp:
 	$(GO) run ./scripts/benchcmp $(BASE)
 
-fuzz:
-	$(GO) test -run XXX -fuzz FuzzParamsValidate -fuzztime 30s ./internal/core
-	$(GO) test -run XXX -fuzz FuzzOfferValidate -fuzztime 30s ./internal/flexoffer
-	$(GO) test -run XXX -fuzz FuzzReadJSON -fuzztime 30s ./internal/flexoffer
-	$(GO) test -run XXX -fuzz FuzzOfferJSON -fuzztime 30s ./internal/flexoffer
-	$(GO) test -run XXX -fuzz FuzzReadCSV -fuzztime 30s ./internal/timeseries
-	$(GO) test -run XXX -fuzz FuzzParseStamp -fuzztime 30s ./internal/timeseries
-	$(GO) test -run XXX -fuzz FuzzParseValue -fuzztime 30s ./internal/timeseries
-	$(GO) test -run XXX -fuzz FuzzSeriesJSON -fuzztime 30s ./internal/timeseries
-	$(GO) test -run XXX -fuzz FuzzSubmitBatch -fuzztime 30s ./internal/market
-	$(GO) test -run XXX -fuzz FuzzListQuery -fuzztime 30s ./internal/market
-	$(GO) test -run XXX -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
-	$(GO) test -run XXX -fuzz FuzzScheduleQuery -fuzztime 30s ./internal/sched
-	$(GO) test -run XXX -fuzz FuzzKPIQuery -fuzztime 30s ./internal/kpi
-	$(GO) test -run XXX -fuzz FuzzLintDirectives -fuzztime 30s ./internal/lint
+# Every fuzz target, as Target:package. `make fuzz` runs each for 30 s;
+# `make fuzz-smoke`, CI's short pass, runs the same list for 10 s, enough
+# to catch a freshly introduced panic without stalling the workflow.
+FUZZ_TARGETS := \
+	FuzzParamsValidate:./internal/core \
+	FuzzOfferValidate:./internal/flexoffer \
+	FuzzReadJSON:./internal/flexoffer \
+	FuzzOfferJSON:./internal/flexoffer \
+	FuzzReadCSV:./internal/timeseries \
+	FuzzParseStamp:./internal/timeseries \
+	FuzzParseValue:./internal/timeseries \
+	FuzzSeriesJSON:./internal/timeseries \
+	FuzzSubmitBatch:./internal/market \
+	FuzzListQuery:./internal/market \
+	FuzzDecodeEvent:./internal/market \
+	FuzzWALReplay:./internal/wal \
+	FuzzScheduleQuery:./internal/sched \
+	FuzzKPIQuery:./internal/kpi \
+	FuzzLintDirectives:./internal/lint
 
-# Short fuzz pass for CI: 10 seconds per target, enough to catch a freshly
-# introduced panic without stalling the workflow.
-fuzz-smoke:
-	$(GO) test -run XXX -fuzz FuzzParamsValidate -fuzztime 10s ./internal/core
-	$(GO) test -run XXX -fuzz FuzzOfferValidate -fuzztime 10s ./internal/flexoffer
-	$(GO) test -run XXX -fuzz FuzzReadJSON -fuzztime 10s ./internal/flexoffer
-	$(GO) test -run XXX -fuzz FuzzOfferJSON -fuzztime 10s ./internal/flexoffer
-	$(GO) test -run XXX -fuzz FuzzReadCSV -fuzztime 10s ./internal/timeseries
-	$(GO) test -run XXX -fuzz FuzzParseStamp -fuzztime 10s ./internal/timeseries
-	$(GO) test -run XXX -fuzz FuzzParseValue -fuzztime 10s ./internal/timeseries
-	$(GO) test -run XXX -fuzz FuzzSeriesJSON -fuzztime 10s ./internal/timeseries
-	$(GO) test -run XXX -fuzz FuzzSubmitBatch -fuzztime 10s ./internal/market
-	$(GO) test -run XXX -fuzz FuzzListQuery -fuzztime 10s ./internal/market
-	$(GO) test -run XXX -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
-	$(GO) test -run XXX -fuzz FuzzScheduleQuery -fuzztime 10s ./internal/sched
-	$(GO) test -run XXX -fuzz FuzzKPIQuery -fuzztime 10s ./internal/kpi
-	$(GO) test -run XXX -fuzz FuzzLintDirectives -fuzztime 10s ./internal/lint
+fuzz: FUZZTIME := 30s
+fuzz-smoke: FUZZTIME := 10s
+
+# One recipe line per target (the definition ends in an empty line), so
+# make stops at the first failing target and `make -n` lists each command.
+define fuzz-target
+$(GO) test -run XXX -fuzz $(word 1,$(subst :, ,$(1))) -fuzztime $(FUZZTIME) $(word 2,$(subst :, ,$(1)))
+
+endef
+
+fuzz fuzz-smoke:
+	$(foreach t,$(FUZZ_TARGETS),$(call fuzz-target,$(t)))
 
 # Soak: the end-to-end extraction→market loop under fault injection and
 # the race detector (see docs/TESTING.md).

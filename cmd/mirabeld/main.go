@@ -196,8 +196,10 @@ func run(cfg config, logger *obs.Logger) error {
 		logger.Info("state recovered",
 			"dir", cfg.dataDir, "fsync", policy, "shards", journal.ShardCount(),
 			"offers", rec.Offers, "snapshot_used", rec.SnapshotUsed,
-			"events_replayed", rec.EventsReplayed,
-			"duration", rec.Duration.Round(time.Millisecond))
+			"events_replayed", rec.EventsReplayed, "hand_decoded", rec.EventsHandDecoded,
+			"duration", rec.Duration.Round(time.Millisecond),
+			"read", rec.ReadTime.Round(time.Millisecond), "decode", rec.DecodeTime.Round(time.Millisecond),
+			"apply", rec.ApplyTime.Round(time.Millisecond))
 		if rec.WAL.TornTail {
 			logger.Warn("journal had a torn final record; truncated",
 				"bytes", rec.WAL.TornBytes)

@@ -132,9 +132,6 @@ func (f *FlexOffer) AssignDefault(start time.Time) (*Assignment, error) {
 	return f.Assign(start, fitted)
 }
 
-// End reports when the assigned profile finishes.
-func (a *Assignment) End() time.Time { return a.Start.Add(a.Offer.Duration()) }
-
 // TotalEnergy reports the total scheduled energy.
 func (a *Assignment) TotalEnergy() float64 {
 	var e float64

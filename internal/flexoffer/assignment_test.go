@@ -20,9 +20,6 @@ func TestAssignValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Assign: %v", err)
 	}
-	if !a.End().Equal(a.Start.Add(2 * time.Hour)) {
-		t.Errorf("End = %v", a.End())
-	}
 	if !almostEqual(a.TotalEnergy(), f.TotalMinEnergy(), 1e-9) {
 		t.Errorf("TotalEnergy = %v", a.TotalEnergy())
 	}

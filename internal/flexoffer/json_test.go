@@ -2,6 +2,7 @@ package flexoffer
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -31,5 +32,43 @@ func TestAppendJSONAllocations(t *testing.T) {
 	null, _ := json.Marshal(none)
 	if got, err := none.AppendJSON(nil); err != nil || string(got) != string(null) {
 		t.Errorf("nil offer: AppendJSON = %s, %v; want %s", got, err, null)
+	}
+}
+
+// TestCutJSONAllocations holds CutJSON to json.Unmarshal on AppendJSON's
+// output, with and without the optional fields, and to one allocation
+// each for the offer, its strings, its profile and its total constraint.
+func TestCutJSONAllocations(t *testing.T) {
+	full := evOffer()
+	full.TotalConstraint = &EnergyConstraint{Min: 45, Max: 50}
+	bare := evOffer()
+	bare.ConsumerID, bare.Appliance = "", ""
+	for _, tc := range []struct {
+		name   string
+		f      *FlexOffer
+		allocs float64
+	}{
+		{"optional fields", full, 6},
+		{"required fields only", bare, 3},
+	} {
+		data, err := tc.f.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want FlexOffer
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, rest, ok := CutJSON(append(data, ",tail"...))
+		if !ok || string(rest) != ",tail" || !reflect.DeepEqual(got, &want) {
+			t.Fatalf("%s: CutJSON = %+v, %q, %v; want %+v and the tail", tc.name, got, rest, ok, &want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, ok := CutJSON(data); !ok {
+				t.Fatal("CutJSON refused AppendJSON's output")
+			}
+		}); allocs != tc.allocs {
+			t.Errorf("%s: CutJSON allocates %.0f times, want %.0f", tc.name, allocs, tc.allocs)
+		}
 	}
 }

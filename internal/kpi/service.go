@@ -26,13 +26,14 @@ type ServiceConfig struct {
 }
 
 // Service runs the incremental KPI engine against a live market store. It
-// follows the store's event stream from a replay bootstrap, so the tracker
-// starts from the store's current contents and then folds every later
-// transition with no gap or duplicate in between. Like the scheduler
-// service it owns no background goroutine: pending events are drained
-// synchronously at the start of every read (Report, GlobalValues, metric
-// scrapes, HTTP requests), which keeps the fold work proportional to the
-// traffic that happened — an idle drain is a single mutex round-trip.
+// follows the store's event stream, folding a replay of the store's
+// contents shard by shard as it attaches, so the tracker starts from the
+// store's current contents and then folds every later transition with no
+// gap or duplicate in between. Like the scheduler service it owns no
+// background goroutine: pending events are drained synchronously at the
+// start of every read (Report, GlobalValues, metric scrapes, HTTP
+// requests), which keeps the fold work proportional to the traffic that
+// happened — an idle drain is a single mutex round-trip.
 // When a bounded queue lags, the follower's resync rebuilds the tracker
 // and re-books the retained dead-letter counts, converging on exactly the
 // state a never-lagged fold would hold. All methods are safe for
@@ -57,9 +58,14 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{tracker: tracker, deadByOwner: make(map[string]uint64)}
+	// Follow folds the store's contents through s.apply before it
+	// returns, so it runs under the lock every later drain holds.
+	s.drainMu.Lock()
 	s.events = cfg.Store.Follow(cfg.EventHighWater, s.apply, s.reset, cfg.Logger.With("consumer", "kpi"))
+	folded := s.tracker.Events()
+	s.drainMu.Unlock()
 	cfg.Logger.Info("kpi service attached",
-		"resolution", tracker.Resolution(), "bootstrap_events", s.events.Pending(),
+		"resolution", tracker.Resolution(), "replayed_events", folded,
 		"event_high_water", cfg.EventHighWater)
 	return s, nil
 }
@@ -72,7 +78,7 @@ func (s *Service) Close() {
 }
 
 // apply folds one event into the current tracker; it runs inside
-// s.events.Drain, under drainMu.
+// market.Store.Follow (from NewService) and s.events.Drain, under drainMu.
 func (s *Service) apply(ev market.StoreEvent) { s.tracker.Apply(ev) }
 
 // reset replaces the tracker with an empty one before a resync replays the

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/flexoffer"
 )
 
 // TestSubscriptionHighWaterLatchesLag: live events past the high-water
@@ -14,7 +16,7 @@ import (
 // stays readable, and TryNext reports ok=false once the prefix is drained.
 func TestSubscriptionHighWaterLatchesLag(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.subscribeReplay(4)
+	sub, _ := subscribeFolded(s, 4)
 	defer sub.Close()
 
 	for i := 0; i < 10; i++ {
@@ -56,7 +58,7 @@ func TestSubscriptionHighWaterLatchesLag(t *testing.T) {
 // the consumer drains below the mark.
 func TestSubscriptionHighWaterPublisherDetach(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.subscribeReplay(2)
+	sub, _ := subscribeFolded(s, 2)
 	defer sub.Close()
 
 	for i := 0; i < 3; i++ {
@@ -84,7 +86,7 @@ func TestSubscriptionHighWaterPublisherDetach(t *testing.T) {
 // safe and keeps reporting closed.
 func TestSubscriptionCloseWhileLagged(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.subscribeReplay(1)
+	sub, _ := subscribeFolded(s, 1)
 	for i := 0; i < 3; i++ {
 		if err := s.Submit(testOffer(fmt.Sprintf("c-%d", i))); err != nil {
 			t.Fatal(err)
@@ -107,8 +109,9 @@ func TestSubscriptionCloseWhileLagged(t *testing.T) {
 }
 
 // TestSubscribeReplayBootstrapExemptFromHighWater: the replay bootstrap
-// always arrives whole, even when it exceeds the high-water mark; only
-// live events past it count against the bound.
+// is folded whole, even when it exceeds the high-water mark, and never
+// queued; only live events count against the bound, so a mark's worth of
+// them queue on top of it, and one more latches.
 func TestSubscribeReplayBootstrapExemptFromHighWater(t *testing.T) {
 	s, _ := newTestStore()
 	for i := 0; i < 10; i++ {
@@ -116,23 +119,67 @@ func TestSubscribeReplayBootstrapExemptFromHighWater(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sub := s.subscribeReplay(4)
+	sub, replay := subscribeFolded(s, 4)
 	defer sub.Close()
-	if got := sub.Pending(); got != 10 {
+	if got := len(replay); got != 10 {
 		t.Fatalf("bootstrap delivered %d events, want all 10", got)
+	}
+	if got := sub.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after the bootstrap, want 0: replay is folded, not queued", got)
 	}
 	if sub.Lagged() {
 		t.Fatal("bootstrap alone must not latch lag")
 	}
-	// Live events on top of the over-mark bootstrap latch immediately.
-	if err := s.Submit(testOffer("b-live")); err != nil {
+	for i := 0; i < 4; i++ {
+		if err := s.Submit(testOffer(fmt.Sprintf("b-live-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sub.Lagged() {
+		t.Fatal("a mark's worth of live events on top of the bootstrap latched lag")
+	}
+	if err := s.Submit(testOffer("b-live-4")); err != nil {
 		t.Fatal(err)
 	}
 	if !sub.Lagged() {
 		t.Fatal("live event past the mark did not latch lag")
 	}
-	if got := sub.Pending(); got != 10 {
-		t.Fatalf("Pending = %d after refused live event, want 10", got)
+	if got := sub.Pending(); got != 4 {
+		t.Fatalf("Pending = %d after refused live event, want 4", got)
+	}
+}
+
+// TestFollowOverMarkStoreWriteBeforeDrain: a store holding more records
+// than the follower's high-water mark takes one write before the first
+// Drain. The write queues alone, so the Drain folds it without a resync,
+// and every record is folded exactly once.
+func TestFollowOverMarkStoreWriteBeforeDrain(t *testing.T) {
+	const highWater, records = 1000, 2000
+	s := NewShardedStore(4, (&fakeClock{now: t0}).Now)
+	batch := make(flexoffer.Set, records)
+	for i := range batch {
+		batch[i] = testOffer(fmt.Sprintf("om-%d", i))
+	}
+	if res := s.SubmitBatch(batch); res.Accepted != records {
+		t.Fatalf("SubmitBatch accepted %d of %d: %v", res.Accepted, records, res.FirstErr())
+	}
+	folds := make(map[string]int) // never reset: counts every apply
+	f := s.Follow(highWater, func(ev StoreEvent) { folds[ev.Offer.ID]++ }, func() {}, nil)
+	defer f.Close()
+	if err := s.Submit(testOffer("om-live")); err != nil {
+		t.Fatal(err)
+	}
+	f.Drain()
+	if got := f.Resyncs(); got != 0 {
+		t.Errorf("Resyncs = %d, want 0", got)
+	}
+	if len(folds) != records+1 {
+		t.Fatalf("folded %d distinct offers, want %d", len(folds), records+1)
+	}
+	for id, n := range folds {
+		if n != 1 {
+			t.Fatalf("offer %s folded %d times, want once", id, n)
+		}
 	}
 }
 
@@ -140,7 +187,7 @@ func TestSubscribeReplayBootstrapExemptFromHighWater(t *testing.T) {
 // contract holds — no latch, no drops, everything delivered.
 func TestSubscriptionUnboundedUnchanged(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.subscribeReplay(0)
+	sub, _ := subscribeFolded(s, 0)
 	defer sub.Close()
 	for i := 0; i < 100; i++ {
 		if err := s.Submit(testOffer(fmt.Sprintf("u-%d", i))); err != nil {
@@ -167,9 +214,9 @@ func TestSubscriptionHighWaterStress(t *testing.T) {
 		perWriter = 200
 	)
 	s := NewShardedStore(4, (&fakeClock{now: t0}).Now)
-	fast := s.subscribeReplay(0)
+	fast, _ := subscribeFolded(s, 0)
 	defer fast.Close()
-	slow := s.subscribeReplay(highWater)
+	slow, _ := subscribeFolded(s, highWater)
 	defer slow.Close()
 
 	var stop atomic.Bool

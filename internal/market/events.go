@@ -28,8 +28,8 @@ const (
 )
 
 // stateEventKind maps a lifecycle state onto the event kind a record in
-// that state implies — the translation subscribeReplay uses to render the
-// store's current contents as a bootstrap event sequence.
+// that state implies — the translation replayLocked uses to render a
+// shard's current contents as a bootstrap event sequence.
 func stateEventKind(st State) EventKind {
 	switch st {
 	case Accepted:
@@ -76,14 +76,14 @@ type StoreEvent struct {
 	Energies []float64
 }
 
-// subscription is one consumer's ordered queue of store events, the
+// subscription is one consumer's ordered queue of live store events, the
 // mechanism under Follower. Enqueueing never blocks, so a slow consumer
 // delays only itself — never a store mutation, which publishes while
 // holding a shard's write lock. A positive highWater bounds the queue: a
 // live event that would grow it past the mark is refused, the
 // subscription latches lagged, publishers detach it, and the queued
-// prefix stays readable. The replay bootstrap is exempt from the bound —
-// it is the resync mechanism itself, and useless when truncated.
+// prefix stays readable. The replay bootstrap never enters the queue
+// (attach folds it), so the mark counts live events only.
 type subscription struct {
 	mu        sync.Mutex
 	queue     []StoreEvent // guarded by mu
@@ -169,49 +169,66 @@ func (sub *subscription) enqueue(ev StoreEvent) bool {
 	return true
 }
 
-// subscribeReplay attaches a subscription bootstrapped with the store's
-// current contents: for every resident record, one synthetic event
-// (Replay=true) describing its current lifecycle state is queued before
-// any live event of that record's shard, with no transition lost or
-// duplicated in between — the registration and the per-shard snapshot
-// happen under the same shard lock. Folding replay events like live ones
-// therefore converges on the store's exact state.
-func (s *Store) subscribeReplay(highWater int) *subscription {
+// attach registers a new subscription with every shard and folds the
+// store's current contents through apply, one shard at a time: under the
+// shard's write lock it copies the shard's records into buf as replay
+// events (Replay=true, one per record, describing its current state) and
+// registers the subscription, then unlocks and folds buf before taking
+// the next shard. The copy and the registration share the lock, so every
+// later transition of the shard queues behind its folded replay, with
+// nothing lost or duplicated in between; folding replay events like live
+// ones therefore converges on the store's exact state. At most one
+// shard's replay is held at a time, and none of it once attach returns.
+// It reports how many replay events it folded.
+func (s *Store) attach(highWater int, apply func(StoreEvent)) (*subscription, int) {
 	sub := &subscription{highWater: highWater}
-	for k, sh := range s.shards {
+	var buf []StoreEvent
+	folded := 0
+	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sub.mu.Lock()
-		for _, id := range sh.order {
-			r := sh.records[id]
-			ev := StoreEvent{Kind: stateEventKind(r.State), Shard: k, Replay: true, At: r.SubmittedAt, Offer: r.Offer}
-			if r.State != Offered {
-				ev.At = r.DecidedAt
-			}
-			if r.Assignment != nil {
-				ev.Start, ev.Energies = r.Assignment.Start, r.Assignment.Energies
-			}
-			sub.queue = append(sub.queue, ev)
-		}
-		sub.mu.Unlock()
+		buf = sh.replayLocked(buf[:0])
 		sh.subs = append(sh.subs, sub)
 		sh.mu.Unlock()
+		for _, ev := range buf {
+			apply(ev)
+		}
+		folded += len(buf)
 	}
-	return sub
+	return sub, folded
+}
+
+// replayLocked appends one replay event per resident record to buf, in
+// submission order, and returns the extended buffer. The caller holds
+// sh.mu.
+func (sh *shard) replayLocked(buf []StoreEvent) []StoreEvent {
+	for _, id := range sh.order {
+		r := sh.records[id]
+		ev := StoreEvent{Kind: stateEventKind(r.State), Shard: sh.idx, Replay: true, At: r.SubmittedAt, Offer: r.Offer}
+		if r.State != Offered {
+			ev.At = r.DecidedAt
+		}
+		if r.Assignment != nil {
+			ev.Start, ev.Energies = r.Assignment.Start, r.Assignment.Energies
+		}
+		buf = append(buf, ev)
+	}
+	return buf
 }
 
 // Follower is one consumer's synchronous fold of the store's event
-// stream, and the only exported way to consume it. Follow bootstraps it
-// with a replay of the store's contents; each Drain hands every pending
-// event to apply, in per-shard mutation order. With a positive high-water
-// mark the queue is bounded, and an overflow latches it lagged; the next
-// Drain applies the queued prefix, calls reset so the consumer discards
-// its fold, and folds a fresh replay bootstrap before returning. After
-// every Drain the consumer's fold therefore equals one that never lagged.
-// This lag → reset → replay protocol lives here and nowhere else.
+// stream, and the only exported way to consume it. Follow folds a replay
+// of the store's contents before it returns; each Drain hands every
+// pending live event to apply, in per-shard mutation order. With a
+// positive high-water mark the queue is bounded, and an overflow latches
+// it lagged; the next Drain applies the queued prefix, calls reset so the
+// consumer discards its fold, and folds a fresh replay before returning.
+// After every Drain the consumer's fold therefore equals one that never
+// lagged. This lag → reset → replay protocol lives here and nowhere else.
 //
-// A Follower holds no lock of its own: the caller serialises Drain,
-// Pending and Close under a lock it already holds, and apply and reset run
-// inside Drain under that lock. Resyncs is safe to call at any time.
+// A Follower holds no lock of its own: the caller serialises Follow,
+// Drain, Pending and Close under a lock it already holds; apply runs
+// inside Follow and Drain, and reset inside Drain, under that lock.
+// Resyncs is safe to call at any time.
 type Follower struct {
 	store     *Store
 	highWater int
@@ -222,13 +239,17 @@ type Follower struct {
 	resyncs   atomic.Uint64
 }
 
-// Follow attaches a Follower bootstrapped with the store's current
-// contents (see StoreEvent.Replay); nothing is applied until the first
-// Drain. highWater bounds the pending queue (0 = unbounded). apply folds
-// one event; reset discards the whole fold before a resync replays the
-// store into it. log (may be nil) receives one warning per resync.
+// Follow attaches a Follower and folds the store's current contents
+// through apply, one shard at a time, before it returns (see
+// StoreEvent.Replay); the caller must therefore call it under the lock it
+// drains under, once the state apply writes exists. highWater bounds the
+// queue of live events (0 = unbounded). apply folds one event; reset
+// discards the whole fold before a resync replays the store into it. log
+// (may be nil) receives one warning per resync.
 func (s *Store) Follow(highWater int, apply func(StoreEvent), reset func(), log *obs.Logger) *Follower {
-	return &Follower{store: s, highWater: highWater, apply: apply, reset: reset, log: log, sub: s.subscribeReplay(highWater)}
+	f := &Follower{store: s, highWater: highWater, apply: apply, reset: reset, log: log}
+	f.sub, _ = s.attach(highWater, apply)
+	return f
 }
 
 // Drain applies every pending event, resyncing through reset and a fresh
@@ -244,10 +265,11 @@ func (f *Follower) Drain() {
 		dropped := f.sub.Dropped()
 		f.sub.Close()
 		f.reset()
-		f.sub = f.store.subscribeReplay(f.highWater)
+		var folded int
+		f.sub, folded = f.store.attach(f.highWater, f.apply)
 		f.log.Warn("event stream lagged; resynced via replay",
 			"resyncs", f.resyncs.Add(1), "dropped_deliveries", dropped,
-			"bootstrap_events", f.sub.Pending(), "high_water", f.highWater)
+			"replayed_events", folded, "high_water", f.highWater)
 	}
 }
 
@@ -265,9 +287,9 @@ func (f *Follower) Close() { f.sub.Close() }
 // numbering it with the shard's event sequence. Its journaled receipt
 // means it runs under the write lock at the mutation site (insertLocked,
 // transitionLocked), so each shard's delivery order is exactly its
-// mutation order and a concurrent subscribeReplay can never observe a
-// record without also receiving every later transition. Closed
-// subscriptions are dropped in place.
+// mutation order and a concurrent attach can never copy a record without
+// also receiving every later transition. Closed subscriptions are dropped
+// in place.
 func (sh *shard) publishLocked(_ journaled, kind EventKind, r *Record, at time.Time) {
 	if len(sh.subs) == 0 {
 		return

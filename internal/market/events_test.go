@@ -7,6 +7,15 @@ import (
 	"time"
 )
 
+// subscribeFolded attaches a bare subscription the way Follow does and
+// returns it with the replay events attach folded, in fold order. Live
+// events then queue on the subscription, which the tests read directly.
+func subscribeFolded(s *Store, highWater int) (*subscription, []StoreEvent) {
+	var replay []StoreEvent
+	sub, _ := s.attach(highWater, func(ev StoreEvent) { replay = append(replay, ev) })
+	return sub, replay
+}
+
 // drainPending consumes every currently queued event without blocking.
 func drainPending(sub *subscription) []StoreEvent {
 	var out []StoreEvent
@@ -21,7 +30,7 @@ func drainPending(sub *subscription) []StoreEvent {
 
 func TestEventStreamLifecycle(t *testing.T) {
 	s, clock := newTestStore()
-	sub := s.subscribeReplay(0)
+	sub, _ := subscribeFolded(s, 0)
 	defer sub.Close()
 
 	a := testOffer("a")
@@ -108,9 +117,8 @@ func TestSubscribeReplayBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sub := s.subscribeReplay(0)
+	sub, replay := subscribeFolded(s, 0)
 	defer sub.Close()
-	replay := drainPending(sub)
 	if len(replay) != len(ids) {
 		t.Fatalf("got %d replay events, want %d", len(replay), len(ids))
 	}
@@ -160,7 +168,7 @@ func TestSubscribeReplayBootstrap(t *testing.T) {
 
 func TestSubscriptionClose(t *testing.T) {
 	s, _ := newTestStore()
-	sub := s.subscribeReplay(0)
+	sub, _ := subscribeFolded(s, 0)
 
 	if err := s.Submit(testOffer("x")); err != nil {
 		t.Fatal(err)
@@ -195,7 +203,7 @@ func TestSubscriptionClose(t *testing.T) {
 func TestEventStreamConcurrent(t *testing.T) {
 	clock := &fakeClock{now: t0}
 	s := NewShardedStore(8, clock.Now)
-	sub := s.subscribeReplay(0)
+	sub, _ := subscribeFolded(s, 0)
 	defer sub.Close()
 
 	const workers, perWorker = 8, 50
@@ -255,9 +263,10 @@ func TestEventStreamConcurrent(t *testing.T) {
 	}
 }
 
-// TestSubscribeReplayAtomic races subscribeReplay against concurrent
-// submissions and acceptances: folding replay plus live events must
-// converge on the store's final state — nothing lost, nothing duplicated.
+// TestSubscribeReplayAtomic races the per-shard replay fold (attach)
+// against concurrent submissions and acceptances: folding replay plus
+// live events must converge on the store's final state — nothing lost,
+// nothing duplicated.
 func TestSubscribeReplayAtomic(t *testing.T) {
 	clock := &fakeClock{now: t0}
 	s := NewShardedStore(8, clock.Now)
@@ -285,7 +294,7 @@ func TestSubscribeReplayAtomic(t *testing.T) {
 	}
 
 	time.Sleep(time.Millisecond) // let some mutations land first
-	sub := s.subscribeReplay(0)
+	sub, replay := subscribeFolded(s, 0)
 	defer sub.Close()
 	wg.Wait()
 
@@ -293,6 +302,9 @@ func TestSubscribeReplayAtomic(t *testing.T) {
 	// events may race live ones from other shards, but per shard the replay
 	// snapshot precedes every subsequent transition, so the fold is exact.
 	state := make(map[string]EventKind)
+	for _, ev := range replay {
+		state[ev.Offer.ID] = ev.Kind
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		for {

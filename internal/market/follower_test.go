@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/flexoffer"
 )
@@ -147,5 +149,40 @@ func TestFollowerResyncEquivalence(t *testing.T) {
 				t.Fatalf("high-water %d never lagged; property untested", highWater)
 			}
 		})
+	}
+}
+
+// TestFollowRetainsNoReplay: Follow folds the store's contents one shard
+// at a time and queues none of them, so once it returns the follower
+// holds no replay event. After a GC the heap it added must stay below a
+// tenth of what the records' replay events alone would take.
+func TestFollowRetainsNoReplay(t *testing.T) {
+	const records = 20000
+	s := NewShardedStore(4, (&fakeClock{now: t0}).Now)
+	batch := make(flexoffer.Set, records)
+	for i := range batch {
+		batch[i] = testOffer(fmt.Sprintf("rn-%d", i))
+	}
+	if res := s.SubmitBatch(batch); res.Accepted != records {
+		t.Fatalf("SubmitBatch accepted %d of %d: %v", res.Accepted, records, res.FirstErr())
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	folded := 0
+	before := liveHeap()
+	f := s.Follow(0, func(StoreEvent) { folded++ }, func() {}, nil)
+	after := liveHeap()
+	defer f.Close()
+	budget := uint64(records) * uint64(unsafe.Sizeof(StoreEvent{})) / 10
+	if after > before && after-before >= budget {
+		t.Errorf("the follower retains %d B after Follow over %d records, want under %d B (a tenth of their replay events)",
+			after-before, records, budget)
+	}
+	if folded != records {
+		t.Errorf("Follow folded %d events, want %d", folded, records)
 	}
 }

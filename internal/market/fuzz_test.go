@@ -1,6 +1,10 @@
 package market
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -98,6 +102,84 @@ func FuzzSubmitBatch(f *testing.F) {
 		}
 		if got := len(store.List()); got != res.Accepted {
 			t.Fatalf("resubmission changed store size: %d, want %d", got, res.Accepted)
+		}
+	})
+}
+
+// FuzzDecodeEvent holds the hand decoder (cutSubmitEvent and
+// flexoffer.CutJSON) to json.Unmarshal, the reference decodeEvent falls
+// back to: whenever the hand decoder accepts a payload, json.Unmarshal
+// must accept it too and decode a reflect.DeepEqual event, and both must
+// re-encode to the same bytes, which keeps -0 apart from 0. The seeds are
+// encode's output for offers with and without the optional fields, nil
+// and empty profiles, zone offsets, fractional seconds, exponent floats
+// and -0, plus hand-edited payloads with escapes, leading zeros,
+// non-ASCII strings, whitespace and other kinds of event.
+func FuzzDecodeEvent(f *testing.F) {
+	at := time.Date(2012, 6, 3, 10, 4, 5, 123456789, time.FixedZone("CEST", 2*60*60))
+	plain := fuzzOffer("house-01/peak-0001", at, time.Hour, 4)
+	full := fuzzOffer("house-02/peak-0002", at.UTC(), 24*time.Hour, 2)
+	full.ConsumerID, full.Appliance = "house-02", "dish washer"
+	full.TotalConstraint = &flexoffer.EnergyConstraint{Min: 1e-7, Max: 1e21}
+	full.Profile[0].MinEnergy, full.Profile[0].MaxEnergy = math.Copysign(0, -1), 0.7000000000000001
+	full.Profile[1].MinEnergy, full.Profile[1].MaxEnergy = 2.5e-10, 123456.789
+	zoned := fuzzOffer("house-03/peak-0003", at.In(time.FixedZone("", -(7*3600+30*60))), time.Hour, 1)
+	nilProfile := fuzzOffer("nil-profile", at, time.Hour, 0)
+	nilProfile.Profile = nil
+	emptyProfile := fuzzOffer("empty-profile", at, time.Hour, 0)
+	escaped := fuzzOffer("<house&4>/peak-0004", at, time.Hour, 1)
+	escaped.ConsumerID, escaped.Appliance = "caf\u00e9", "dish <washer> & dryer"
+	for _, set := range []flexoffer.Set{{plain}, {full}, {zoned}, {nilProfile}, {emptyProfile}, {escaped}, {plain, full, zoned}} {
+		raws := make([]json.RawMessage, len(set))
+		for i, o := range set {
+			raws[i] = marshalOffer(o)
+		}
+		payload, err := event{Kind: evSubmit, At: at, Offers: set, offersRaw: raws}.encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	plainJSON, err := event{Kind: evSubmit, At: at, Offers: flexoffer.Set{plain}}.encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, edit := range [][2]string{
+		{`"duration":900000000000`, `"duration":0900000000000`},
+		{`"duration":900000000000`, `"duration":9e11`},
+		{`"min_energy_kwh":0.5`, `"min_energy_kwh":05e-1`},
+		{`"min_energy_kwh":0.5`, `"min_energy_kwh":-0.5E+0`},
+		{`"max_energy_kwh":1`, `"max_energy_kwh":1.`},
+		{`"max_energy_kwh":1`, `"max_energy_kwh":1e400`},
+		{`"id":"house-01/peak-0001"`, `"id":"café"`},
+		{`"id":"house-01/peak-0001"`, `"id":"h\u00e9"`},
+		{`"id":"house-01/peak-0001"`, `"id":"house-01","consumer_id":""`},
+		{`.123456789+02:00"`, `.1+02:00"`},
+		{`.123456789+02:00"`, `Z"`},
+		{`"profile":[`, `"profile": [`},
+		{`"kind":"submit"`, `"kind":"Submit"`},
+		{`],"start"`, `],"Start"`},
+	} {
+		f.Add(bytes.Replace(plainJSON, []byte(edit[0]), []byte(edit[1]), 1))
+	}
+	f.Add([]byte(`{"kind":"decide","at":"2012-06-03T10:04:05Z","id":"a","to":"accepted","start":"0001-01-01T00:00:00Z"}`))
+	f.Add([]byte(`{"kind":"submit","at":"2012-06-03T10:04:05Z","start":"0001-01-01T00:00:00Z"}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, ok := cutSubmitEvent(payload)
+		if !ok {
+			return
+		}
+		var want event
+		if err := json.Unmarshal(payload, &want); err != nil {
+			t.Fatalf("hand decoder accepts %s, json.Unmarshal refuses it: %v", payload, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("hand decoder and json.Unmarshal differ on %s:\n got %+v\nwant %+v", payload, got, want)
+		}
+		gotJSON, gerr := json.Marshal(got)
+		wantJSON, werr := json.Marshal(want)
+		if gerr != nil || werr != nil || !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("re-encodings differ on %s:\n got %s (%v)\nwant %s (%v)", payload, gotJSON, gerr, wantJSON, werr)
 		}
 	})
 }

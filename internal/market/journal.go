@@ -1,6 +1,7 @@
 package market
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,6 +61,17 @@ type event struct {
 	offersRaw []json.RawMessage
 }
 
+// The one shape of a submit event that encode assembles by hand and
+// decodeEvent decodes by hand: submitHead, the time, offersKey, the
+// offers separated by commas, then submitTail.
+const (
+	submitHead = `{"kind":"submit","at":`
+	offersKey  = `,"offers":[`
+	// ID, To, Energies and IDs are empty and omitted; Start is the zero
+	// time, which omitempty does not omit.
+	submitTail = `],"start":"0001-01-01T00:00:00Z"}`
+)
+
 // encode returns the event's journal payload: exactly the bytes of
 // json.Marshal(ev), which replay decodes. A submit event whose offers all
 // come encoded is assembled by hand from those bytes, the way
@@ -70,29 +82,68 @@ func (ev event) encode() ([]byte, error) {
 	if ev.offersRaw == nil || slices.ContainsFunc(ev.offersRaw, func(raw json.RawMessage) bool { return raw == nil }) {
 		return json.Marshal(ev)
 	}
-	const (
-		head   = `{"kind":"submit","at":`
-		offers = `,"offers":[`
-		// ID, To, Energies and IDs are empty and omitted; Start is the
-		// zero time, which omitempty does not omit.
-		tail = `],"start":"0001-01-01T00:00:00Z"}`
-	)
-	n := len(head) + len(`""`) + len(time.RFC3339Nano) + len(offers) + len(tail)
+	n := len(submitHead) + len(`""`) + len(time.RFC3339Nano) + len(offersKey) + len(submitTail)
 	for _, raw := range ev.offersRaw {
 		n += len(raw) + 1
 	}
-	buf, err := flexoffer.AppendJSONTime(append(make([]byte, 0, n), head...), ev.At)
+	buf, err := flexoffer.AppendJSONTime(append(make([]byte, 0, n), submitHead...), ev.At)
 	if err != nil {
 		return nil, err
 	}
-	buf = append(buf, offers...)
+	buf = append(buf, offersKey...)
 	for i, raw := range ev.offersRaw {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
 		buf = append(buf, raw...)
 	}
-	return append(buf, tail...), nil
+	return append(buf, submitTail...), nil
+}
+
+// decodeEvent decodes one journal payload. A submit event in the shape
+// encode writes, with offers in the shape flexoffer.AppendJSON writes, is
+// decoded by hand (cutSubmitEvent), and hand reports it. Every other
+// payload goes to json.Unmarshal, the reference, so what replay accepts,
+// the events it decodes and its error texts are json.Unmarshal's.
+// FuzzDecodeEvent holds the hand path to it.
+func decodeEvent(payload []byte) (ev event, hand bool, err error) {
+	if ev, ok := cutSubmitEvent(payload); ok {
+		return ev, true, nil
+	}
+	err = json.Unmarshal(payload, &ev)
+	return ev, false, err
+}
+
+// cutSubmitEvent decodes a submit event holding at least one offer in
+// the one shape encode writes, and reports false for anything else. The
+// offers are copied out of data, which ReplayFrom reuses after its
+// callback returns.
+func cutSubmitEvent(data []byte) (event, bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(submitHead))
+	if !ok {
+		return event{}, false
+	}
+	ev := event{Kind: evSubmit}
+	if ev.At, rest, ok = flexoffer.CutJSONTime(rest); !ok {
+		return event{}, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(offersKey)); !ok {
+		return event{}, false
+	}
+	for {
+		var f *flexoffer.FlexOffer
+		if f, rest, ok = flexoffer.CutJSON(rest); !ok {
+			return event{}, false
+		}
+		ev.Offers = append(ev.Offers, f)
+		if rest, ok = bytes.CutPrefix(rest, []byte(",")); !ok {
+			break
+		}
+	}
+	if string(rest) != submitTail {
+		return event{}, false
+	}
+	return ev, true
 }
 
 // applyEvent replays one journaled event onto the store, bypassing clock
@@ -293,8 +344,15 @@ type ShardRecovery struct {
 	SnapshotLSN uint64
 	// EventsReplayed is the number of events applied after the snapshot.
 	EventsReplayed uint64
+	// EventsHandDecoded is the number of replayed events the hand decoder
+	// took (decodeEvent); the rest went to json.Unmarshal.
+	EventsHandDecoded uint64
 	// Offers is the number of offers recovered into the shard.
 	Offers int
+	// ReadTime, DecodeTime and ApplyTime split the WAL tail's replay:
+	// reading and checking the records, decoding their payloads, and
+	// applying the decoded events to the shard.
+	ReadTime, DecodeTime, ApplyTime time.Duration
 }
 
 // RecoveryStats describes what OpenJournaled found on disk and how the
@@ -314,10 +372,17 @@ type RecoveryStats struct {
 	// EventsReplayed is the number of journal events applied after the
 	// snapshots, summed across shards.
 	EventsReplayed uint64
+	// EventsHandDecoded is the number of replayed events the hand decoder
+	// took, summed across shards.
+	EventsHandDecoded uint64
 	// Offers is the number of offers in the recovered store.
 	Offers int
 	// Duration is the wall-clock time recovery took.
 	Duration time.Duration
+	// ReadTime, DecodeTime and ApplyTime are the shards' replay times
+	// (ShardRecovery), summed across shards. The shards replay
+	// concurrently, so the sum may exceed Duration.
+	ReadTime, DecodeTime, ApplyTime time.Duration
 	// Shards is the per-shard recovery detail, in shard order.
 	Shards []ShardRecovery
 }
@@ -492,10 +557,17 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 		go func(k int) {
 			defer wg.Done()
 			sr := &rec.Shards[k]
+			start := time.Now()
 			replayErrs[k] = j.shards[k].log.ReplayFrom(replayFrom[k], func(lsn uint64, payload []byte) error {
-				var ev event
-				if err := json.Unmarshal(payload, &ev); err != nil {
+				t0 := time.Now()
+				ev, hand, err := decodeEvent(payload)
+				t1 := time.Now()
+				sr.DecodeTime += t1.Sub(t0)
+				if err != nil {
 					return fmt.Errorf("event at lsn %d: %v", lsn, err)
+				}
+				if hand {
+					sr.EventsHandDecoded++
 				}
 				if at, err := store.shardOfEvent(ev); err != nil {
 					return fmt.Errorf("event at lsn %d: %v", lsn, err)
@@ -505,9 +577,11 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 				if err := store.applyEvent(ev); err != nil {
 					return fmt.Errorf("event at lsn %d: %v", lsn, err)
 				}
+				sr.ApplyTime += time.Since(t1)
 				sr.EventsReplayed++
 				return nil
 			})
+			sr.ReadTime = time.Since(start) - sr.DecodeTime - sr.ApplyTime
 		}(k)
 	}
 	wg.Wait()
@@ -527,6 +601,10 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 		sh.mu.RUnlock()
 		rec.Offers += sr.Offers
 		rec.EventsReplayed += sr.EventsReplayed
+		rec.EventsHandDecoded += sr.EventsHandDecoded
+		rec.ReadTime += sr.ReadTime
+		rec.DecodeTime += sr.DecodeTime
+		rec.ApplyTime += sr.ApplyTime
 		rec.WAL.Segments += sr.WAL.Segments
 		rec.WAL.Records += sr.WAL.Records
 		rec.WAL.TornBytes += sr.WAL.TornBytes

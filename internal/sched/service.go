@@ -109,9 +109,10 @@ type RecoveryInfo struct {
 }
 
 // New builds a Service: it opens and replays the decision ledger (when
-// configured), then follows the store's event stream from a replay
-// bootstrap, so the aggregator converges on the store's current accepted
-// population without rescanning it.
+// configured), then follows the store's event stream, folding a replay of
+// the store's contents into the aggregator one shard at a time, so the
+// aggregator holds the store's current accepted population when New
+// returns.
 func New(cfg Config) (*Service, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("%w: nil store", ErrInput)
@@ -173,7 +174,11 @@ func New(cfg Config) (*Service, error) {
 		cfg.Logger.Info("scheduler ledger recovered",
 			"records", info.Records, "runs", st.runs, "decisions", st.decisions, "torn_tail", info.TornTail)
 	}
+	// Follow folds the store's contents through s.apply before it
+	// returns, so it runs under the lock every later drain holds.
+	s.runMu.Lock()
 	s.events = cfg.Store.Follow(cfg.EventHighWater, s.apply, inc.Reset, cfg.Logger.With("consumer", "sched"))
+	s.runMu.Unlock()
 	return s, nil
 }
 
@@ -193,7 +198,7 @@ func (s *Service) Close() error {
 // offers leaving the accepted state (rejected, expired, assigned) leave.
 // Submitted events are ignored — only accepted offers are scheduled — and
 // replay events fold exactly like live ones. It runs inside
-// s.events.Drain, under runMu.
+// market.Store.Follow (from New) and s.events.Drain, under runMu.
 func (s *Service) apply(ev market.StoreEvent) {
 	switch ev.Kind {
 	case market.EventAccepted:

@@ -203,19 +203,6 @@ func (s *Series) Add(o *Series) (*Series, error) {
 	return out, nil
 }
 
-// Sub returns a new series with element-wise differences s - o. Both series
-// must be aligned.
-func (s *Series) Sub(o *Series) (*Series, error) {
-	if !s.aligned(o) {
-		return nil, ErrMisaligned
-	}
-	out := s.Clone()
-	for i := range out.values {
-		out.values[i] -= o.values[i]
-	}
-	return out, nil
-}
-
 // Sum aggregates several aligned series element-wise, e.g. to form the total
 // consumption of a population of households.
 func Sum(series ...*Series) (*Series, error) {
