@@ -18,11 +18,11 @@ import (
 type BasicExtractor struct {
 	// Params is the shared context information.
 	Params Params
-	// PeriodDuration is the length of each extraction period. The default
-	// (zero value) is 6 hours, which yields the four offers per day shown
-	// in Fig. 4.
-	PeriodDuration time.Duration
 }
+
+// basicPeriod is the length of each extraction period: 6 hours, which
+// yields the four offers per day shown in Fig. 4.
+const basicPeriod = 6 * time.Hour
 
 // Name implements Extractor.
 func (e *BasicExtractor) Name() string { return "basic" }
@@ -38,14 +38,10 @@ func (e *BasicExtractor) Extract(input *timeseries.Series) (*Result, error) {
 	if err := checkInput(input, p); err != nil {
 		return nil, err
 	}
-	period := e.PeriodDuration
-	if period == 0 {
-		period = 6 * time.Hour
+	if basicPeriod < p.SliceDuration || basicPeriod%p.SliceDuration != 0 {
+		return nil, fmt.Errorf("%w: period %v not a multiple of slice duration %v", ErrParams, basicPeriod, p.SliceDuration)
 	}
-	if period < p.SliceDuration || period%p.SliceDuration != 0 {
-		return nil, fmt.Errorf("%w: period %v not a multiple of slice duration %v", ErrParams, period, p.SliceDuration)
-	}
-	perPeriod := int(period / p.SliceDuration)
+	perPeriod := int(basicPeriod / p.SliceDuration)
 
 	modified := input.Clone()
 	b := newOfferBuilder(e.Name(), p)

@@ -237,8 +237,11 @@ func TestBasicSkipsZeroEnergyPeriods(t *testing.T) {
 }
 
 func TestBasicExtractErrors(t *testing.T) {
-	e := &BasicExtractor{Params: DefaultParams(), PeriodDuration: 7 * time.Minute}
-	if _, err := e.Extract(shapedDay(1)); !errors.Is(err, ErrParams) {
+	// 8 h slices divide a day but not the 6 h period.
+	p := DefaultParams()
+	p.SliceDuration = 8 * time.Hour
+	e := &BasicExtractor{Params: p}
+	if _, err := e.Extract(timeseries.MustNew(t0, 8*time.Hour, []float64{1})); !errors.Is(err, ErrParams) {
 		t.Errorf("bad period: %v", err)
 	}
 	bad := BasicExtractor{Params: Params{}}

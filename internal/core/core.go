@@ -135,12 +135,10 @@ func (p Params) Validate() error {
 }
 
 // Result is the Fig. 2 output: flex-offers plus the modified time series
-// (input minus the flexible energy now carried by the offers). Reference is
-// only set by the multi-tariff extractor (the unchanged one-tariff series).
+// (input minus the flexible energy now carried by the offers).
 type Result struct {
-	Offers    flexoffer.Set
-	Modified  *timeseries.Series
-	Reference *timeseries.Series
+	Offers   flexoffer.Set
+	Modified *timeseries.Series
 }
 
 // Extractor is one flexibility extraction approach operating on a total

@@ -146,7 +146,7 @@ func (e *MultiTariffExtractor) ExtractPair(oneTariff, multiTariff *timeseries.Se
 		}
 		i = j
 	}
-	return &Result{Offers: offers, Modified: modified, Reference: oneTariff.Clone()}, nil
+	return &Result{Offers: offers, Modified: modified}, nil
 }
 
 // dayTypeProfiles holds the per-phase typical consumption split by day

@@ -11,11 +11,11 @@ import (
 // consumption actually is. MIRABEL used this strategy before the extraction
 // tools existed; the realism experiments (E10) compare every extractor
 // against it.
+//
+// It extracts one offer a day, for comparability with the peak-based
+// approach.
 type RandomExtractor struct {
 	Params Params
-	// OffersPerDay is how many offers to generate per day (default 1, for
-	// comparability with the peak-based approach).
-	OffersPerDay int
 }
 
 // Name implements Extractor.
@@ -30,10 +30,6 @@ func (e *RandomExtractor) Extract(input *timeseries.Series) (*Result, error) {
 	if err := checkInput(input, p); err != nil {
 		return nil, err
 	}
-	perDayOffers := e.OffersPerDay
-	if perDayOffers <= 0 {
-		perDayOffers = 1
-	}
 	modified := input.Clone()
 	b := newOfferBuilder(e.Name(), p)
 	var offers flexoffer.Set
@@ -47,26 +43,23 @@ func (e *RandomExtractor) Extract(input *timeseries.Series) (*Result, error) {
 		if flexEnergy <= 0 {
 			continue
 		}
-		perOffer := flexEnergy / float64(perDayOffers)
-		for k := 0; k < perDayOffers; k++ {
-			n := b.sliceCount()
-			if n > day.Len() {
-				n = day.Len()
-			}
-			// Uniformly random placement in the day — flexibility assumed
-			// everywhere, the very assumption the paper calls "very
-			// likely being false".
-			start := dayOffset + b.rng.Intn(day.Len()-n+1)
-			energies := make([]float64, n)
-			for i := range energies {
-				energies[i] = perOffer / float64(n)
-			}
-			offer, err := b.build(input.TimeAt(start), energies, "")
-			if err != nil {
-				return nil, err
-			}
-			offers = append(offers, offer)
+		n := b.sliceCount()
+		if n > day.Len() {
+			n = day.Len()
 		}
+		// Uniformly random placement in the day — flexibility assumed
+		// everywhere, the very assumption the paper calls "very likely
+		// being false".
+		start := dayOffset + b.rng.Intn(day.Len()-n+1)
+		energies := make([]float64, n)
+		for i := range energies {
+			energies[i] = flexEnergy / float64(n)
+		}
+		offer, err := b.build(input.TimeAt(start), energies, "")
+		if err != nil {
+			return nil, err
+		}
+		offers = append(offers, offer)
 		// The day's flexible energy leaves the day uniformly.
 		subtractProportional(modified, dayOffset, dayOffset+day.Len(), flexEnergy)
 	}

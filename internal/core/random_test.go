@@ -27,13 +27,13 @@ func TestRandomExtractOnePerDay(t *testing.T) {
 
 func TestRandomOffersPerDay(t *testing.T) {
 	input := shapedDay(3)
-	e := &RandomExtractor{Params: DefaultParams(), OffersPerDay: 4}
+	e := &RandomExtractor{Params: DefaultParams()}
 	res, err := e.Extract(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Offers) != 12 {
-		t.Errorf("offers = %d, want 12", len(res.Offers))
+	if len(res.Offers) != 3 {
+		t.Errorf("offers = %d, want one a day, 3", len(res.Offers))
 	}
 	// Total flexible share still matches the configured percentage.
 	share := res.Offers.TotalAvgEnergy() / input.Total()

@@ -192,31 +192,14 @@ func Compute(cfg Config, events []market.StoreEvent, deadLetters map[string]uint
 	return rep, nil
 }
 
-// stateEventKind maps a record's lifecycle state to the replay event kind
-// a replay bootstrap would synthesize for it.
-func stateEventKind(st market.State) market.EventKind {
-	switch st {
-	case market.Accepted:
-		return market.EventAccepted
-	case market.Rejected:
-		return market.EventRejected
-	case market.Assigned:
-		return market.EventAssigned
-	case market.Expired:
-		return market.EventExpired
-	default:
-		return market.EventSubmitted
-	}
-}
-
 // FromRecords recomputes a Report from offer records — for example, the
-// pages of GET /offers — by folding each record exactly as the synthetic
-// replay event a fresh market.Follower would deliver for it. A live /kpi
-// endpoint and FromRecords over a complete listing of the same store
-// therefore agree (the soak test's reconciliation); only history that
-// final states erase — an expired offer's pre-expiry acceptance, the
-// exact acceptance count behind an assignment — is attributed by the
-// replay conventions of docs/KPI.md.
+// pages of GET /offers — by folding each record's replay event
+// (market.Record.ReplayEvent), the one a fresh market.Follower delivers
+// for it. A live /kpi endpoint and FromRecords over a complete listing of
+// the same store therefore agree (the soak test's reconciliation); only
+// history that final states erase — an expired offer's pre-expiry
+// acceptance, the exact acceptance count behind an assignment — is
+// attributed by the replay conventions of docs/KPI.md.
 func FromRecords(cfg Config, records []market.Record, deadLetters map[string]uint64) (Report, error) {
 	tr, err := NewTracker(cfg)
 	if err != nil {
@@ -226,19 +209,7 @@ func FromRecords(cfg Config, records []market.Record, deadLetters map[string]uin
 		if rec.Offer == nil {
 			continue
 		}
-		ev := market.StoreEvent{
-			Kind:   stateEventKind(rec.State),
-			Replay: true,
-			At:     rec.SubmittedAt,
-			Offer:  rec.Offer,
-		}
-		if rec.State != market.Offered {
-			ev.At = rec.DecidedAt
-		}
-		if rec.Assignment != nil {
-			ev.Start, ev.Energies = rec.Assignment.Start, rec.Assignment.Energies
-		}
-		tr.Apply(ev)
+		tr.Apply(rec.ReplayEvent())
 	}
 	for owner, n := range deadLetters {
 		tr.ObserveDeadLetters(owner, n)

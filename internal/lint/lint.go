@@ -49,8 +49,8 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named check over a type-checked package.
 type Analyzer struct {
-	// Name identifies the analyzer in reports, -enable/-disable flags and
-	// //lint:ignore directives.
+	// Name identifies the analyzer in reports and //lint:ignore
+	// directives.
 	Name string
 	// Doc is a one-line description of the convention enforced.
 	Doc string

@@ -165,7 +165,7 @@ func (c *Client) List(state string) ([]Record, error) {
 func pageQuery(q ListQuery) string {
 	values := url.Values{}
 	for _, st := range q.States {
-		values.Set("state", st.String())
+		values.Add("state", st.String())
 	}
 	if q.Owner != "" {
 		values.Set("owner", q.Owner)

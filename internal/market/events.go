@@ -28,8 +28,8 @@ const (
 )
 
 // stateEventKind maps a lifecycle state onto the event kind a record in
-// that state implies — the translation replayLocked uses to render a
-// shard's current contents as a bootstrap event sequence.
+// that state implies: the kind a transition into the state publishes, and
+// the kind of the record's replay event (Record.ReplayEvent).
 func stateEventKind(st State) EventKind {
 	switch st {
 	case Accepted:
@@ -202,17 +202,26 @@ func (s *Store) attach(highWater int, apply func(StoreEvent)) (*subscription, in
 // sh.mu.
 func (sh *shard) replayLocked(buf []StoreEvent) []StoreEvent {
 	for _, id := range sh.order {
-		r := sh.records[id]
-		ev := StoreEvent{Kind: stateEventKind(r.State), Shard: sh.idx, Replay: true, At: r.SubmittedAt, Offer: r.Offer}
-		if r.State != Offered {
-			ev.At = r.DecidedAt
-		}
-		if r.Assignment != nil {
-			ev.Start, ev.Energies = r.Assignment.Start, r.Assignment.Energies
-		}
+		ev := sh.records[id].ReplayEvent()
+		ev.Shard = sh.idx
 		buf = append(buf, ev)
 	}
 	return buf
+}
+
+// ReplayEvent renders the record as the replay event a Follower folds for
+// it (StoreEvent.Replay): the kind its state implies, at SubmittedAt while
+// offered and at DecidedAt after, carrying the assignment's schedule once
+// assigned. Shard is left zero; the store's own replay sets it.
+func (r Record) ReplayEvent() StoreEvent {
+	ev := StoreEvent{Kind: stateEventKind(r.State), Replay: true, At: r.SubmittedAt, Offer: r.Offer}
+	if r.State != Offered {
+		ev.At = r.DecidedAt
+	}
+	if r.Assignment != nil {
+		ev.Start, ev.Energies = r.Assignment.Start, r.Assignment.Energies
+	}
+	return ev
 }
 
 // Follower is one consumer's synchronous fold of the store's event
@@ -226,7 +235,7 @@ func (sh *shard) replayLocked(buf []StoreEvent) []StoreEvent {
 // lagged. This lag → reset → replay protocol lives here and nowhere else.
 //
 // A Follower holds no lock of its own: the caller serialises Follow,
-// Drain, Pending and Close under a lock it already holds; apply runs
+// Drain and Close under a lock it already holds; apply runs
 // inside Follow and Drain, and reset inside Drain, under that lock.
 // Resyncs is safe to call at any time.
 type Follower struct {
@@ -272,9 +281,6 @@ func (f *Follower) Drain() {
 			"replayed_events", folded, "high_water", f.highWater)
 	}
 }
-
-// Pending reports the number of queued, not-yet-applied events.
-func (f *Follower) Pending() int { return f.sub.Pending() }
 
 // Resyncs reports how often a lagged queue forced a reset and replay.
 func (f *Follower) Resyncs() uint64 { return f.resyncs.Load() }

@@ -141,8 +141,8 @@ func TestFollowerResyncEquivalence(t *testing.T) {
 				if want := listStates(s); !reflect.DeepEqual(fold.states, want) {
 					t.Fatalf("step %d: fold diverges from Store.List:\ngot  %v\nwant %v", step, fold.states, want)
 				}
-				if f.Pending() != 0 {
-					t.Fatalf("step %d: %d events pending after Drain", step, f.Pending())
+				if f.sub.Pending() != 0 {
+					t.Fatalf("step %d: %d events pending after Drain", step, f.sub.Pending())
 				}
 			}
 			if f.Resyncs() == 0 {

@@ -142,7 +142,12 @@ func RouteLabel(r *http.Request) string {
 // limit, cursor or owner does; a bare or state-only listing keeps the
 // pre-pagination bare-array contract.
 func parseListQuery(values url.Values) (q ListQuery, paged bool, err error) {
-	if raw := values.Get("state"); raw != "" {
+	// Every state= names one state of a union; an empty one filters
+	// nothing.
+	for _, raw := range values["state"] {
+		if raw == "" {
+			continue
+		}
 		st, err := ParseState(raw)
 		if err != nil {
 			return q, false, err

@@ -280,9 +280,10 @@ func (s *Store) marshalState() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// restoreShard replaces one shard's contents with a per-shard snapshot
-// image. Every record must route to shard k — a violation means the
-// snapshot was written under a different shard count.
+// restoreShard loads a per-shard snapshot image into the still-empty
+// shard k, inserting its records in their submission order. Every record
+// must route to shard k — a violation means the snapshot was written under
+// a different shard count.
 func (s *Store) restoreShard(k int, data []byte) error {
 	var snap storeSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -298,10 +299,14 @@ func (s *Store) restoreShard(k int, data []byte) error {
 	}
 	sh := s.shards[k]
 	w := sh.mu.Lock()
-	sh.records = snap.Records
-	sh.order = snap.Order
-	sh.rebuildIndexesLocked(w)
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	if len(sh.order) > 0 {
+		return fmt.Errorf("shard %d already holds %d records", k, len(sh.order))
+	}
+	sh.records = make(map[string]*Record, len(snap.Order))
+	for _, id := range snap.Order {
+		sh.insertLocked(replayed(w), snap.Records[id])
+	}
 	return nil
 }
 
@@ -332,33 +337,9 @@ type JournalOptions struct {
 	Clock func() time.Time
 }
 
-// ShardRecovery describes how one shard's state was rebuilt at open.
-type ShardRecovery struct {
-	// Shard is the shard index.
-	Shard int
-	// WAL is the shard stream's log-level recovery outcome.
-	WAL wal.RecoveryInfo
-	// SnapshotUsed reports whether a snapshot seeded the shard.
-	SnapshotUsed bool
-	// SnapshotLSN is the LSN the used snapshot covered up to.
-	SnapshotLSN uint64
-	// EventsReplayed is the number of events applied after the snapshot.
-	EventsReplayed uint64
-	// EventsHandDecoded is the number of replayed events the hand decoder
-	// took (decodeEvent); the rest went to json.Unmarshal.
-	EventsHandDecoded uint64
-	// Offers is the number of offers recovered into the shard.
-	Offers int
-	// ReadTime, DecodeTime and ApplyTime split the WAL tail's replay:
-	// reading and checking the records, decoding their payloads, and
-	// applying the decoded events to the shard.
-	ReadTime, DecodeTime, ApplyTime time.Duration
-}
-
 // RecoveryStats describes what OpenJournaled found on disk and how the
-// state was rebuilt. The top-level fields aggregate across shards (on a
-// single-shard store they are exactly that shard's outcome); Shards holds
-// the per-shard detail.
+// state was rebuilt, aggregated across shards: on a single-shard store it
+// is exactly that shard's outcome.
 type RecoveryStats struct {
 	// WAL aggregates the log-level recovery outcome: segments, records
 	// and torn bytes are summed, TornTail reports whether any shard's
@@ -366,25 +347,22 @@ type RecoveryStats struct {
 	WAL wal.RecoveryInfo
 	// SnapshotUsed reports whether any shard was seeded from a snapshot.
 	SnapshotUsed bool
-	// SnapshotLSN is the smallest LSN covered by a used snapshot (the
-	// replay floor across shards).
-	SnapshotLSN uint64
 	// EventsReplayed is the number of journal events applied after the
 	// snapshots, summed across shards.
 	EventsReplayed uint64
 	// EventsHandDecoded is the number of replayed events the hand decoder
-	// took, summed across shards.
+	// took (decodeEvent), summed across shards; the rest went to
+	// json.Unmarshal.
 	EventsHandDecoded uint64
 	// Offers is the number of offers in the recovered store.
 	Offers int
 	// Duration is the wall-clock time recovery took.
 	Duration time.Duration
-	// ReadTime, DecodeTime and ApplyTime are the shards' replay times
-	// (ShardRecovery), summed across shards. The shards replay
-	// concurrently, so the sum may exceed Duration.
+	// ReadTime, DecodeTime and ApplyTime split the WAL tails' replay into
+	// reading and checking the records, decoding their payloads, and
+	// applying the decoded events, summed across shards. The shards
+	// replay concurrently, so the sum may exceed Duration.
 	ReadTime, DecodeTime, ApplyTime time.Duration
-	// Shards is the per-shard recovery detail, in shard order.
-	Shards []ShardRecovery
 }
 
 // journalShard is one shard's durability stream: its own WAL segment
@@ -405,7 +383,6 @@ type Journal struct {
 	mu       sync.Mutex
 	closed   bool   // guarded by mu
 	snapErrs uint64 // guarded by mu: failed snapshot attempts
-	lastErr  error  // guarded by mu: last snapshot failure
 
 	recovery RecoveryStats // immutable after OpenJournaled
 	snapc    chan int      // nil unless automatic snapshots are on
@@ -503,7 +480,7 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 
 	store := NewShardedStore(n, opts.Clock)
 	j := &Journal{store: store, every: uint64(max(opts.SnapshotEvery, 0))}
-	rec := RecoveryStats{Shards: make([]ShardRecovery, n)}
+	var rec RecoveryStats
 	closeAll := func() {
 		for _, js := range j.shards {
 			js.log.Close()
@@ -526,9 +503,11 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 			return nil, nil, fmt.Errorf("market: open shard %d: %w", k, err)
 		}
 		j.shards = append(j.shards, &journalShard{log: log})
-		sr := &rec.Shards[k]
-		sr.Shard = k
-		sr.WAL = walInfo
+		rec.WAL.Segments += walInfo.Segments
+		rec.WAL.Records += walInfo.Records
+		rec.WAL.TornBytes += walInfo.TornBytes
+		rec.WAL.TornTail = rec.WAL.TornTail || walInfo.TornTail
+		rec.WAL.NextLSN = max(rec.WAL.NextLSN, walInfo.NextLSN)
 		payload, snapLSN, err := log.LatestSnapshot()
 		switch {
 		case err == nil:
@@ -537,8 +516,7 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 				return nil, nil, fmt.Errorf("market: restore shard %d snapshot at lsn %d: %w", k, snapLSN, err)
 			}
 			replayFrom[k] = snapLSN
-			sr.SnapshotUsed = true
-			sr.SnapshotLSN = snapLSN
+			rec.SnapshotUsed = true
 		case errors.Is(err, wal.ErrNoSnapshot):
 			// Fresh shard or never snapshotted: replay from the start.
 		default:
@@ -547,16 +525,17 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 		}
 	}
 
-	// Phase 2 — concurrent: replay each shard's WAL tail. Replay only
-	// reads the stream and mutates its own shard, so the shards are
-	// independent.
+	// Phase 2 — concurrent: replay each shard's WAL tail, counting into
+	// the shard's own replays entry. Replay only reads the stream and
+	// mutates its own shard, so the shards are independent.
 	var wg sync.WaitGroup
 	replayErrs := make([]error, n)
+	replays := make([]RecoveryStats, n)
 	for k := 0; k < n; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			sr := &rec.Shards[k]
+			sr := &replays[k]
 			start := time.Now()
 			replayErrs[k] = j.shards[k].log.ReplayFrom(replayFrom[k], func(lsn uint64, payload []byte) error {
 				t0 := time.Now()
@@ -592,32 +571,17 @@ func OpenJournaled(opts JournalOptions) (*Store, *Journal, error) {
 		}
 	}
 
-	// Aggregate the per-shard outcomes into the top-level view.
-	for k := range rec.Shards {
-		sr := &rec.Shards[k]
-		sh := store.shards[k]
-		sh.mu.RLock()
-		sr.Offers = len(sh.order)
-		sh.mu.RUnlock()
-		rec.Offers += sr.Offers
+	// Sum the shards' replays and recovered offers into the top-level view.
+	for k, sr := range replays {
 		rec.EventsReplayed += sr.EventsReplayed
 		rec.EventsHandDecoded += sr.EventsHandDecoded
 		rec.ReadTime += sr.ReadTime
 		rec.DecodeTime += sr.DecodeTime
 		rec.ApplyTime += sr.ApplyTime
-		rec.WAL.Segments += sr.WAL.Segments
-		rec.WAL.Records += sr.WAL.Records
-		rec.WAL.TornBytes += sr.WAL.TornBytes
-		rec.WAL.TornTail = rec.WAL.TornTail || sr.WAL.TornTail
-		if sr.WAL.NextLSN > rec.WAL.NextLSN {
-			rec.WAL.NextLSN = sr.WAL.NextLSN
-		}
-		if sr.SnapshotUsed {
-			if !rec.SnapshotUsed || sr.SnapshotLSN < rec.SnapshotLSN {
-				rec.SnapshotLSN = sr.SnapshotLSN
-			}
-			rec.SnapshotUsed = true
-		}
+		sh := store.shards[k]
+		sh.mu.RLock()
+		rec.Offers += len(sh.order)
+		sh.mu.RUnlock()
 	}
 	rec.Duration = time.Since(t0)
 	j.recovery = rec
@@ -703,7 +667,6 @@ func (j *Journal) snapshotShard(k int) error {
 	if err != nil {
 		j.mu.Lock()
 		j.snapErrs++
-		j.lastErr = err
 		j.mu.Unlock()
 		return fmt.Errorf("market: snapshot shard %d: %w", k, err)
 	}
@@ -735,9 +698,6 @@ type JournalStats struct {
 	WAL wal.Stats
 	// SnapshotErrors counts failed snapshot attempts.
 	SnapshotErrors uint64
-	// LastSnapshotError is the most recent snapshot failure, nil when all
-	// succeeded.
-	LastSnapshotError error
 }
 
 // Stats snapshots the journal's counters, aggregated across shards.
@@ -759,7 +719,6 @@ func (j *Journal) Stats() JournalStats {
 	}
 	j.mu.Lock()
 	st.SnapshotErrors = j.snapErrs
-	st.LastSnapshotError = j.lastErr
 	j.mu.Unlock()
 	return st
 }

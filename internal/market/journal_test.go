@@ -155,6 +155,74 @@ func TestJournaledStoreReplaysWALTailWithoutSnapshot(t *testing.T) {
 	}
 }
 
+// TestListingOrderSurvivesRestart: a state listing reads in shard-major
+// submission order, not in the order its records entered the state, live,
+// after a reopen that replays the WAL alone, and after a reopen from the
+// final snapshot Close takes — through Store.List and through the bare
+// GET /offers?state= listing.
+func TestListingOrderSurvivesRestart(t *testing.T) {
+	for _, row := range []struct {
+		name           string
+		shards         int
+		submit, accept []string
+		want           string
+	}{
+		{"1 shard", 1, []string{"a", "b", "c"}, []string{"c", "a", "b"}, "a,b,c"},
+		// a and e route to shard 0, b to shard 1, c to shard 2.
+		{"4 shards", 4, []string{"a", "b", "c", "e"}, []string{"e", "c", "a", "b"}, "a,e,b,c"},
+	} {
+		for _, restart := range []string{"live", "WAL-only reopen", "snapshot reopen"} {
+			t.Run(row.name+"/"+restart, func(t *testing.T) {
+				dir := t.TempDir()
+				clock := &fakeClock{now: t0}
+				s, j := openTestJournaled(t, dir, clock, JournalOptions{Shards: row.shards})
+				for _, id := range row.submit {
+					if err := s.Submit(testOffer(id)); err != nil {
+						t.Fatalf("Submit %s: %v", id, err)
+					}
+				}
+				for _, id := range row.accept {
+					if err := s.Accept(id); err != nil {
+						t.Fatalf("Accept %s: %v", id, err)
+					}
+				}
+				switch restart {
+				case "WAL-only reopen":
+					closeLogs(t, j)
+					s, j = openTestJournaled(t, dir, clock, JournalOptions{})
+					if j.Recovery().SnapshotUsed {
+						t.Fatal("reopen used a snapshot, want the WAL alone")
+					}
+				case "snapshot reopen":
+					if err := j.Close(); err != nil {
+						t.Fatalf("Close: %v", err)
+					}
+					s, j = openTestJournaled(t, dir, clock, JournalOptions{})
+					if rec := j.Recovery(); !rec.SnapshotUsed || rec.EventsReplayed != 0 {
+						t.Fatalf("recovery = %+v, want the final snapshot alone", rec)
+					}
+				}
+				ids := func(recs []Record) string {
+					out := make([]string, len(recs))
+					for i, r := range recs {
+						out[i] = r.Offer.ID
+					}
+					return strings.Join(out, ",")
+				}
+				if got := ids(s.List(Accepted)); got != row.want {
+					t.Errorf("List(Accepted) = %s, want %s", got, row.want)
+				}
+				srv := httptest.NewServer(NewServer(s))
+				defer srv.Close()
+				var recs []Record
+				if code := getJSON(t, srv, "/offers?state=accepted", &recs); code != http.StatusOK || ids(recs) != row.want {
+					t.Errorf("GET /offers?state=accepted = %d %s, want 200 %s", code, ids(recs), row.want)
+				}
+			})
+		}
+	}
+}
+
 func TestAutomaticSnapshotsCompactTheLog(t *testing.T) {
 	dir := t.TempDir()
 	clock := &fakeClock{now: t0}

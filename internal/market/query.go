@@ -74,8 +74,7 @@ func (p Page) MarshalJSON() ([]byte, error) {
 // the next position in that shard's submission order, plus the filter the
 // cursor was issued under so a resumed walk cannot silently switch
 // filters. Positions index each shard's append-only order slice, so a
-// cursor stays valid no matter how records transition (or how per-state
-// index lists compact) between pages.
+// cursor stays valid no matter how records transition between pages.
 type cursor struct {
 	Shard  int      `json:"s"`
 	Pos    int      `json:"p"`
@@ -83,22 +82,33 @@ type cursor struct {
 	Owner  string   `json:"o,omitempty"`
 }
 
+// stateFilter returns the membership table of a state filter, the one
+// form List and Page filter by. No states admits every state; a state out
+// of range admits none.
+func stateFilter(states []State) (want [numStates]bool) {
+	for _, st := range states {
+		if st >= 0 && int(st) < numStates {
+			want[st] = true
+		}
+	}
+	if len(states) == 0 {
+		for st := range want {
+			want[st] = true
+		}
+	}
+	return want
+}
+
 // statesKey renders a state filter in canonical (sorted, deduplicated)
-// textual form for cursor binding.
+// textual form for cursor binding; no states has no key.
 func statesKey(states []State) []string {
 	if len(states) == 0 {
 		return nil
 	}
-	var seen [numStates]bool
-	for _, st := range states {
-		if st >= 0 && int(st) < numStates {
-			seen[st] = true
-		}
-	}
 	var out []string
-	for st := Offered; int(st) < numStates; st++ {
-		if seen[st] {
-			out = append(out, st.String())
+	for st, ok := range stateFilter(states) {
+		if ok {
+			out = append(out, State(st).String())
 		}
 	}
 	return out
@@ -177,13 +187,7 @@ func (s *Store) Page(q ListQuery) (Page, error) {
 		}
 		start = c
 	}
-	var want map[State]bool
-	if len(q.States) > 0 {
-		want = make(map[State]bool, len(q.States))
-		for _, st := range q.States {
-			want[st] = true
-		}
-	}
+	want := stateFilter(q.States)
 
 	page := Page{Records: []Record{}}
 	// A cursor pointing past the last shard (the store has not grown a
@@ -212,17 +216,17 @@ func (s *Store) Page(q ListQuery) (Page, error) {
 }
 
 // walkLocked appends to out the shard's records from position pos on that
-// match the owner (empty: any) and the states in want (nil: any), until
-// out holds limit records. It returns the position after the last record
+// match the owner (empty: any) and the states in want, until out holds
+// limit records. It returns the position after the last record
 // appended when out fills, and a position at or past the end of order
 // when the shard runs out first. Callers hold at least the read lock.
-func (sh *shard) walkLocked(owner string, want map[State]bool, pos, limit int, out *[]Record) int {
+func (sh *shard) walkLocked(owner string, want [numStates]bool, pos, limit int, out *[]Record) int {
 	if owner != "" {
 		positions := sh.byOwner[owner]
 		for i := sort.SearchInts(positions, pos); i < len(positions); i++ {
 			p := positions[i]
 			r := sh.records[sh.order[p]]
-			if want != nil && !want[r.State] {
+			if !want[r.State] {
 				continue
 			}
 			*out = append(*out, *r)
@@ -234,7 +238,7 @@ func (sh *shard) walkLocked(owner string, want map[State]bool, pos, limit int, o
 	}
 	for ; pos < len(sh.order); pos++ {
 		r := sh.records[sh.order[pos]]
-		if want != nil && !want[r.State] {
+		if !want[r.State] {
 			continue
 		}
 		*out = append(*out, *r)

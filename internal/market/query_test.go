@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 )
 
@@ -182,8 +183,8 @@ func TestListQueryConformance(t *testing.T) {
 }
 
 // TestPageCursorSurvivesTransitions pins cursor stability: positions index
-// the append-only submission order, so records transitioning (and
-// per-state index lists compacting) between pages never skew the walk.
+// the append-only submission order, so records transitioning between
+// pages never skew the walk.
 func TestPageCursorSurvivesTransitions(t *testing.T) {
 	clock := &fakeClock{now: t0}
 	s := NewShardedStore(3, clock.Now)
@@ -215,6 +216,64 @@ func TestPageCursorSurvivesTransitions(t *testing.T) {
 	}
 	if len(seen) != 30 {
 		t.Fatalf("walk visited %d of 30 records", len(seen))
+	}
+}
+
+// TestStateFilterUnion: repeated state= parameters list the union of
+// their states, in the bare listing, the paged one and Client.ListPage,
+// and a union page's cursor resumes under the same union. An empty state=
+// filters nothing.
+func TestStateFilterUnion(t *testing.T) {
+	s, _ := newTestStore()
+	for _, id := range []string{"u-offered", "u-accepted", "u-rejected"} {
+		if err := s.Submit(testOffer(id)); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	if err := s.Accept("u-accepted"); err != nil {
+		t.Fatalf("Accept: %v", err)
+	}
+	if err := s.Reject("u-rejected"); err != nil {
+		t.Fatalf("Reject: %v", err)
+	}
+	srv := httptest.NewServer(NewServer(s))
+	t.Cleanup(srv.Close)
+	client := &Client{BaseURL: srv.URL, HTTPClient: srv.Client()}
+	ids := func(recs []Record) string {
+		var out []string
+		for _, r := range recs {
+			out = append(out, r.Offer.ID)
+		}
+		return strings.Join(out, ",")
+	}
+	const union = "u-offered,u-accepted"
+
+	var bare []Record
+	if code := getJSON(t, srv, "/offers?state=offered&state=accepted", &bare); code != http.StatusOK || ids(bare) != union {
+		t.Errorf("bare union listing = %d %q, want 200 %q", code, ids(bare), union)
+	}
+	var page Page
+	if code := getJSON(t, srv, "/offers?state=offered&state=accepted&limit=10", &page); code != http.StatusOK || ids(page.Records) != union {
+		t.Errorf("paged union listing = %d %q, want 200 %q", code, ids(page.Records), union)
+	}
+	var walked []Record
+	q := ListQuery{States: []State{Offered, Accepted}, Limit: 1}
+	for {
+		p, err := client.ListPage(q)
+		if err != nil {
+			t.Fatalf("ListPage: %v", err)
+		}
+		walked = append(walked, p.Records...)
+		if p.NextCursor == "" {
+			break
+		}
+		q.Cursor = p.NextCursor
+	}
+	if ids(walked) != union {
+		t.Errorf("ListPage walk of the union = %q, want %q", ids(walked), union)
+	}
+	if code := getJSON(t, srv, "/offers?state=", &bare); code != http.StatusOK || len(bare) != 3 {
+		t.Errorf("empty state= listing = %d, %d records, want 200 and all 3", code, len(bare))
 	}
 }
 

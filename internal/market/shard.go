@@ -9,7 +9,7 @@ import (
 )
 
 // numStates is the number of lifecycle states, sizing the per-shard
-// per-state bookkeeping arrays.
+// state counts and the state filters of listings.
 const numStates = int(Expired) + 1
 
 // lockMeter is a sync.RWMutex with contention accounting: writer and
@@ -130,9 +130,10 @@ func (h *expiryHeap) Pop() any {
 func (h expiryHeap) peek() expiryEntry { return h[0] }
 
 // shard is one partition of the store: a records map plus the indexes
-// that keep every read and sweep path proportional to its result size —
-// per-state ID lists for filtered listings, incremental state counts and
-// an energy sum for Stats, and a deadline min-heap for the sweeper.
+// that keep the owner and sweep paths proportional to their result size —
+// per-owner positions for owner pages, incremental state counts and an
+// energy sum for Stats, and a deadline min-heap for the sweeper. Every
+// other read walks order.
 type shard struct {
 	mu lockMeter
 
@@ -149,11 +150,6 @@ type shard struct {
 	// without a ConsumerID are not indexed: an empty owner filter means
 	// every owner.
 	byOwner map[string][]int // guarded by mu
-	// byState[st] lists the IDs that entered state st, append-only with
-	// lazy deletion: an entry whose record has moved on is skipped at
-	// read time. A record enters each state at most once (the lifecycle
-	// is a DAG), so no list ever holds duplicates.
-	byState [numStates][]string // guarded by mu
 	// counts is the live number of records per state.
 	counts [numStates]int // guarded by mu
 	// energy is the summed TotalAvgEnergy of non-terminal (offered +
@@ -198,45 +194,54 @@ func (sh *shard) journalLocked(_ writeLocked, ev event) (journaled, error) {
 	return journaled{}, nil
 }
 
-// insertLocked adds a freshly submitted record and maintains every index.
-func (sh *shard) insertLocked(rc journaled, f *Record) {
-	id := f.Offer.ID
-	sh.records[id] = f
-	sh.indexOwnerLocked(f.Offer.ConsumerID, len(sh.order))
+// insertLocked adds a record, in whatever state it is in, and maintains
+// every index: Submit and replay insert offered records, and restoreShard
+// a snapshot's records in their submission order. It publishes the record
+// as submitted; a restored record publishes to no one, because no
+// follower is attached during recovery.
+func (sh *shard) insertLocked(rc journaled, r *Record) {
+	id := r.Offer.ID
+	sh.records[id] = r
+	if owner := r.Offer.ConsumerID; owner != "" {
+		sh.byOwner[owner] = append(sh.byOwner[owner], len(sh.order))
+	}
 	sh.order = append(sh.order, id)
-	sh.byState[Offered] = append(sh.byState[Offered], id)
-	sh.counts[Offered]++
-	sh.energy += f.Offer.TotalAvgEnergy()
-	if !f.Offer.AcceptanceTime.IsZero() {
-		heap.Push(&sh.expiry, expiryEntry{at: f.Offer.AcceptanceTime, id: id, state: Offered})
+	sh.counts[r.State]++
+	if nonTerminal(r.State) {
+		sh.energy += r.Offer.TotalAvgEnergy()
 	}
-	sh.publishLocked(rc, EventSubmitted, f, f.SubmittedAt)
-}
-
-// indexOwnerLocked records that owner's next offer sits at position pos
-// of order.
-func (sh *shard) indexOwnerLocked(owner string, pos int) {
-	if owner != "" {
-		sh.byOwner[owner] = append(sh.byOwner[owner], pos)
-	}
+	sh.scheduleLocked(rc, r)
+	sh.publishLocked(rc, EventSubmitted, r, r.SubmittedAt)
 }
 
 // transitionLocked moves a record to state `to` at time `at` and
-// maintains the per-state indexes, counts and the energy sum.
+// maintains the counts, the energy sum and the expiry heap.
 func (sh *shard) transitionLocked(rc journaled, r *Record, to State, at time.Time) {
-	from := r.State
-	sh.counts[from]--
+	sh.counts[r.State]--
 	sh.counts[to]++
-	sh.byState[to] = append(sh.byState[to], r.Offer.ID)
-	if nonTerminal(from) && !nonTerminal(to) {
+	if nonTerminal(r.State) && !nonTerminal(to) {
 		sh.energy -= r.Offer.TotalAvgEnergy()
-	}
-	if to == Accepted && !r.Offer.AssignmentTime.IsZero() {
-		heap.Push(&sh.expiry, expiryEntry{at: r.Offer.AssignmentTime, id: r.Offer.ID, state: Accepted})
 	}
 	r.State = to
 	r.DecidedAt = at
+	sh.scheduleLocked(rc, r)
 	sh.publishLocked(rc, stateEventKind(to), r, at)
+}
+
+// scheduleLocked pushes the deadline the record's state waits on onto the
+// expiry heap: acceptance while offered, assignment while accepted. Other
+// states, and offers that declare no such deadline, wait on nothing.
+func (sh *shard) scheduleLocked(_ journaled, r *Record) {
+	var at time.Time
+	switch r.State {
+	case Offered:
+		at = r.Offer.AcceptanceTime
+	case Accepted:
+		at = r.Offer.AssignmentTime
+	}
+	if !at.IsZero() {
+		heap.Push(&sh.expiry, expiryEntry{at: at, id: r.Offer.ID, state: r.State})
+	}
 }
 
 // nonTerminal reports whether records in st still count as flexible
@@ -273,35 +278,4 @@ func (sh *shard) rollbackLocked(_ writeLocked, due []expiryEntry) {
 	for _, e := range due {
 		heap.Push(&sh.expiry, e)
 	}
-}
-
-// rebuildIndexesLocked derives every index (order stays as loaded) from
-// the records map after a snapshot restore: owner positions, per-state
-// lists, counts, energy and the expiry heap.
-func (sh *shard) rebuildIndexesLocked(_ writeLocked) {
-	sh.byOwner = make(map[string][]int)
-	sh.byState = [numStates][]string{}
-	sh.counts = [numStates]int{}
-	sh.energy = 0
-	sh.expiry = sh.expiry[:0]
-	for pos, id := range sh.order {
-		r := sh.records[id]
-		sh.indexOwnerLocked(r.Offer.ConsumerID, pos)
-		sh.counts[r.State]++
-		sh.byState[r.State] = append(sh.byState[r.State], id)
-		if nonTerminal(r.State) {
-			sh.energy += r.Offer.TotalAvgEnergy()
-		}
-		switch r.State {
-		case Offered:
-			if !r.Offer.AcceptanceTime.IsZero() {
-				sh.expiry = append(sh.expiry, expiryEntry{at: r.Offer.AcceptanceTime, id: id, state: Offered})
-			}
-		case Accepted:
-			if !r.Offer.AssignmentTime.IsZero() {
-				sh.expiry = append(sh.expiry, expiryEntry{at: r.Offer.AssignmentTime, id: id, state: Accepted})
-			}
-		}
-	}
-	heap.Init(&sh.expiry)
 }

@@ -7,16 +7,16 @@
 // (http.go) and client (client.go) expose the store over the network.
 //
 // The store is partitioned into shards keyed by an FNV-1a hash of the
-// offer ID (shard.go): each shard carries its own lock, per-state
-// indexes, deadline heap and — when journaled — its own write-ahead log
-// stream, so point operations on different shards never contend and
-// reads never scan the whole store.
+// offer ID (shard.go): each shard carries its own lock, owner index,
+// deadline heap and — when journaled — its own write-ahead log stream, so
+// point operations on different shards never contend.
 package market
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -569,30 +569,21 @@ func (s *Store) Get(id string) (Record, bool) {
 
 // List returns copies of the records in shard-major submission order
 // (global submission order on a single-shard store), optionally filtered
-// to the given states. A single-state filter walks that state's index
-// list instead of the whole shard. For bounded reads at scale, use Page.
-// A full-store listing copies every matching record into one sized slice;
-// TestListAllocations holds each call to that one allocation.
+// to the given states. It walks every shard's submission order, the walk
+// Page takes; for bounded reads at scale, use Page. A full-store listing
+// copies every matching record into one sized slice; TestListAllocations
+// holds each call to that one allocation.
 func (s *Store) List(states ...State) []Record {
-	var want [numStates]bool
-	for _, st := range states {
-		if st >= 0 && int(st) < numStates {
-			want[st] = true
-		}
-	}
-	// Pre-size from the per-shard state counters (O(shards)) so the copy
-	// loop below never regrows the result. Records may transition between
-	// the two passes, so the sum is a hint, not a bound.
+	want := stateFilter(states)
+	// Pre-size from the per-shard state counters (O(shards)) so the walk
+	// below never regrows the result. Records may transition between the
+	// two passes, so the sum is a hint, not a bound.
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		if len(states) == 0 {
-			n += len(sh.order)
-		} else {
-			for st := 0; st < numStates; st++ {
-				if want[st] {
-					n += sh.counts[st]
-				}
+		for st, ok := range want {
+			if ok {
+				n += sh.counts[st]
 			}
 		}
 		sh.mu.RUnlock()
@@ -600,25 +591,7 @@ func (s *Store) List(states ...State) []Record {
 	out := make([]Record, 0, n)
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		switch len(states) {
-		case 0:
-			for _, id := range sh.order {
-				out = append(out, *sh.records[id])
-			}
-		case 1:
-			st := states[0]
-			for _, id := range sh.byState[st] {
-				if r := sh.records[id]; r.State == st {
-					out = append(out, *r)
-				}
-			}
-		default:
-			for _, id := range sh.order {
-				if r := sh.records[id]; want[r.State] {
-					out = append(out, *r)
-				}
-			}
-		}
+		sh.walkLocked("", want, 0, math.MaxInt, &out)
 		sh.mu.RUnlock()
 	}
 	return out

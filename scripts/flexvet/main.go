@@ -9,11 +9,11 @@
 //
 // Usage:
 //
-//	go run ./scripts/flexvet [-format text|json|sarif] [-enable a,b] [-disable a,b] [packages...]
+//	go run ./scripts/flexvet [-format text|json|sarif] [-list] [packages...]
 //
-// Packages default to ./... (module-wide). Findings print as
-// file:line:col: [analyzer] message, as a JSON array with -format json
-// (-json is a shorthand), or as a SARIF 2.1.0 log with -format sarif for
+// Packages default to ./... (module-wide), and every analyzer runs.
+// Findings print as file:line:col: [analyzer] message, as a JSON array
+// with -format json, or as a SARIF 2.1.0 log with -format sarif for
 // code-scanning upload. A finding is suppressed by "//lint:ignore
 // <analyzer> <reason>" on its line or the line above. Exit status: 0
 // clean, 1 findings, 2 usage or load error. docs/LINTING.md describes
@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -36,25 +34,19 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable driver body: parse flags, load packages, run the
-// selected analyzers, print findings.
+// run is the testable driver body: parse flags, load packages, run every
+// analyzer, print findings.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("flexvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (same as -format json)")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
-	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	list := fs.Bool("list", false, "list the available analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: flexvet [-json] [-format text|json|sarif] [-enable a,b] [-disable a,b] [packages...]")
+		fmt.Fprintln(stderr, "usage: flexvet [-format text|json|sarif] [-list] [packages...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *jsonOut {
-		*format = "json"
 	}
 	switch *format {
 	case "text", "json", "sarif":
@@ -68,11 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	analyzers, err := selectAnalyzers(*enable, *disable)
-	if err != nil {
-		fmt.Fprintf(stderr, "flexvet: %v\n", err)
-		return 2
-	}
+	analyzers := lint.All()
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -116,52 +104,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// selectAnalyzers resolves the -enable / -disable flags against the
-// registry.
-func selectAnalyzers(enable, disable string) ([]*lint.Analyzer, error) {
-	chosen := lint.All()
-	if enable != "" {
-		chosen = chosen[:0:0]
-		for _, name := range splitList(enable) {
-			a := lint.ByName(name)
-			if a == nil {
-				return nil, fmt.Errorf("unknown analyzer %q (try -list)", name)
-			}
-			chosen = append(chosen, a)
-		}
-	}
-	if disable != "" {
-		skip := make(map[string]bool)
-		for _, name := range splitList(disable) {
-			if lint.ByName(name) == nil {
-				return nil, fmt.Errorf("unknown analyzer %q (try -list)", name)
-			}
-			skip[name] = true
-		}
-		kept := chosen[:0:0]
-		for _, a := range chosen {
-			if !skip[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		chosen = kept
-	}
-	if len(chosen) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	sort.Slice(chosen, func(i, j int) bool { return chosen[i].Name < chosen[j].Name })
-	return chosen, nil
-}
-
-// splitList splits a comma-separated flag value, trimming blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -50,7 +50,7 @@ func runDriver(t *testing.T, args ...string) (int, string, string) {
 }
 
 func TestSeededViolationsJSON(t *testing.T) {
-	code, out, errOut := runDriver(t, "-json", fixture)
+	code, out, errOut := runDriver(t, "-format", "json", fixture)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, errOut)
 	}
@@ -77,7 +77,7 @@ func TestSeededViolationsJSON(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	_, out, _ := runDriver(t, "-json", fixture)
+	_, out, _ := runDriver(t, "-format", "json", fixture)
 	var diags []lint.Diagnostic
 	if err := json.Unmarshal([]byte(out), &diags); err != nil {
 		t.Fatalf("decode: %v", err)
@@ -115,7 +115,7 @@ func TestSeededViolationsText(t *testing.T) {
 // finding set: one violation per file, nothing else. A regression in the
 // CFG or any analyzer's matching shows up here as a changed set.
 func TestSeededFlowViolations(t *testing.T) {
-	code, out, errOut := runDriver(t, "-json", flowFixture)
+	code, out, errOut := runDriver(t, "-format", "json", flowFixture)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, errOut)
 	}
@@ -226,45 +226,13 @@ func TestCleanPackage(t *testing.T) {
 	if code != 0 || out != "" || errOut != "" {
 		t.Errorf("clean run: exit=%d stdout=%q stderr=%q, want 0 with no output", code, out, errOut)
 	}
-	code, out, _ = runDriver(t, "-json", "testdata/src/clean")
+	code, out, _ = runDriver(t, "-format", "json", "testdata/src/clean")
 	if code != 0 || strings.TrimSpace(out) != "[]" {
-		t.Errorf("clean -json run: exit=%d stdout=%q, want 0 with an empty array", code, out)
-	}
-}
-
-func TestEnableDisable(t *testing.T) {
-	code, out, _ := runDriver(t, "-json", "-enable", "doccheck", fixture)
-	if code != 1 {
-		t.Fatalf("-enable doccheck exit = %d, want 1", code)
-	}
-	var diags []lint.Diagnostic
-	if err := json.Unmarshal([]byte(out), &diags); err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "doccheck" {
-		t.Errorf("-enable doccheck reported %v, want exactly the doccheck finding", diags)
-	}
-
-	code, out, _ = runDriver(t, "-json", "-disable", "doccheck", fixture)
-	if code != 1 {
-		t.Fatalf("-disable doccheck exit = %d, want 1", code)
-	}
-	diags = nil
-	if err := json.Unmarshal([]byte(out), &diags); err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 2 || diags[0].Analyzer != "clockcheck" || diags[1].Analyzer != "mutexguard" {
-		t.Errorf("-disable doccheck reported %v, want the clockcheck and mutexguard findings", diags)
+		t.Errorf("clean -format json run: exit=%d stdout=%q, want 0 with an empty array", code, out)
 	}
 }
 
 func TestUsageErrors(t *testing.T) {
-	if code, _, errOut := runDriver(t, "-enable", "bogus", fixture); code != 2 || !strings.Contains(errOut, "unknown analyzer") {
-		t.Errorf("unknown analyzer: exit=%d stderr=%q, want 2 with an explanation", code, errOut)
-	}
-	if code, _, _ := runDriver(t, "-disable", "bogus", fixture); code != 2 {
-		t.Errorf("unknown -disable analyzer must exit 2, got %d", code)
-	}
 	if code, _, _ := runDriver(t, "no/such/dir"); code != 2 {
 		t.Errorf("missing package dir must exit 2, got %d", code)
 	}

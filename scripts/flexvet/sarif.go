@@ -8,7 +8,7 @@ import (
 )
 
 // SARIF 2.1.0 output (-format sarif): the minimal subset GitHub code
-// scanning ingests — one run, the selected analyzers as rules, one result
+// scanning ingests — one run, every analyzer as a rule, one result
 // per diagnostic with a physical location. Fields are emitted in struct
 // order and results arrive pre-sorted from lint.Run, so the output is
 // deterministic for a given tree (the golden test pins it).
